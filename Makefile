@@ -57,8 +57,8 @@ test:
 	$(GO) test -vet=all ./...
 
 # The race detector is the backstop for the parallel evaluation engine
-# (SOM batch BMU search, GP tournament evaluation, encode/machine
-# caches): any unsynchronised access introduced later fails here.
+# (SOM batch BMU search, GP tournament evaluation, scratch and machine
+# pools): any unsynchronised access introduced later fails here.
 race:
 	$(GO) test -race ./...
 
@@ -67,7 +67,9 @@ race:
 # snapshots hot-swap, the registry wall proves single-flight loading and
 # LRU eviction under contention (TestAcquireSingleFlightStampede,
 # TestLRUEvictionOrder), and core's ClassifyDoc must stay safe under the
-# same concurrency. Kept separate from `race` so the serve wall stays a
+# same concurrency: TestClassifyDocConcurrentDistinct scores distinct
+# documents from 8 goroutines on one model against the reference path
+# and checks results depend on the document's words alone. Kept separate from `race` so the serve wall stays a
 # named, required CI step even if the global race target is trimmed.
 race-serve:
 	$(GO) test -race -count=1 ./internal/serve/ ./internal/core/ ./internal/registry/
@@ -78,22 +80,21 @@ bench:
 	$(GO) test -run '^$$' -bench '^Benchmark(BMU|TrainEpoch|Tournament|RunSequence|ModelScore)' -benchtime 10x \
 		./internal/som/ ./internal/lgp/ .
 
-# Encode-kernel benchmarks with allocation reporting: the sparse/dense
-# level-2 BMU sweep, the cold-word path (fanout table vs legacy live
-# search) and full-document encoding per kernel — the numbers recorded
-# in BENCH_PR6.json.
+# Encode benchmarks with allocation reporting: ClassifyDoc over the
+# test split cycled as never-repeated documents (the table-driven
+# serving path) and the encode-table build a model load runs.
 bench-encode:
-	$(GO) test -run '^$$' -bench '^Benchmark(BMUSparse|WordVectorCold|EncodeDocument)' -benchmem \
-		./internal/som/ ./internal/hsom/
+	$(GO) test -run '^$$' -bench '^Benchmark(ClassifyDistinct|BuildCodeTable)$$' -benchmem ./internal/core/
 
-# Encode bench smoke: fails the build if a //tdlint:hotpath encode
-# kernel ever allocates. TestSparseKernelZeroAlloc and
-# TestEncodeKernelsZeroAlloc assert AllocsPerRun == 0 over the sparse
-# BMU sweeps (both precisions), the warm word-cache lookup and the
-# sparse Gaussian evaluation (same shape as telemetry-smoke).
+# Encode bench smoke: fails the build if a //tdlint:hotpath encode path
+# ever allocates. TestClassifyDocZeroAlloc asserts AllocsPerRun == 0
+# for ClassifyDoc over distinct documents with a reused out slice (the
+# vocabulary lookup plus per-category gather), and
+# TestSparseKernelZeroAlloc over the sparse BMU sweep that builds the
+# encode table (same shape as telemetry-smoke).
 encode-smoke:
-	$(GO) test -run 'TestSparseKernelZeroAlloc' -count=1 ./internal/som/
-	$(GO) test -run 'TestEncodeKernelsZeroAlloc' -count=1 ./internal/hsom/
+	$(GO) test -run '^TestSparseKernelZeroAlloc$$' -count=1 ./internal/som/
+	$(GO) test -run '^TestClassifyDocZeroAlloc$$' -count=1 ./internal/core/
 
 # Telemetry bench smoke: fails the build if the disabled telemetry path
 # ever allocates. TestDisabledPathZeroAlloc asserts AllocsPerRun == 0

@@ -136,7 +136,7 @@ type CategoryModel struct {
 }
 
 // Model is a trained temporal document classifier. Models must not be
-// copied after first use (they embed caches and pools); use pointers.
+// copied after first use (they embed a machine pool); use pointers.
 type Model struct {
 	cfg       Config
 	selection *featsel.Selection
@@ -144,6 +144,10 @@ type Model struct {
 	encoder   *hsom.Encoder
 	perCat    map[string]*CategoryModel
 	cats      []string
+
+	// table is the precomputed word → code map every scoring path reads
+	// (table.go); derived from encoder and keepSets, never persisted.
+	table encodeTable
 
 	// met holds pre-resolved metric handles so the scoring hot path
 	// never pays a registry map lookup; its zero value no-ops.
@@ -153,53 +157,6 @@ type Model struct {
 	// Evaluate calls, so scoring allocates no register files (and usually
 	// re-uses an already-decoded program) on the hot path.
 	machinePool sync.Pool
-
-	// encMu guards encCache, the per-(category, document) cache of
-	// encoded input sequences. Encoding a document — char-map NearestK
-	// per character, word-map BMU per word — dominates Score, and
-	// Classify/Evaluate re-score the same document once per category, so
-	// caching by document identity-plus-content-hash removes all repeat
-	// encodes. The cache is cleared wholesale when it exceeds
-	// encodeCacheCap entries, bounding memory on streaming workloads.
-	encMu    sync.RWMutex
-	encCache map[encodeKey]encodedDoc
-}
-
-// encodeCacheCap bounds the encode cache; ~cap × (words per doc) small
-// slices. Exceeding it drops the whole cache (cheap, simple, and the
-// steady state of bounded evaluation sets never hits it).
-const encodeCacheCap = 8192
-
-type encodeKey struct {
-	cat  string
-	id   string
-	hash uint64
-}
-
-type encodedDoc struct {
-	inputs    [][]float64
-	words     []string
-	positions []int
-}
-
-// wordsHash is FNV-1a over the document's words, so a cache entry can
-// never serve a stale encoding if a caller reuses a document ID for
-// different content.
-func wordsHash(words []string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, w := range words {
-		for i := 0; i < len(w); i++ {
-			h ^= uint64(w[i])
-			h *= prime64
-		}
-		h ^= 0xff // word separator
-		h *= prime64
-	}
-	return h
 }
 
 // getMachine returns a pooled machine (or a fresh one).
@@ -301,6 +258,15 @@ func Train(cfg Config, c *corpus.Corpus) (*Model, error) {
 		cats:      append([]string(nil), c.Categories...),
 		met:       newModelMetrics(cfg.Metrics),
 	}
+	if err := m.buildEncodeTable(); err != nil {
+		return nil, err
+	}
+	// Every category trains on the same documents: map them onto the
+	// vocabulary once and share the (read-only) result.
+	trainIDs := make([][]int32, len(c.Train))
+	for i := range c.Train {
+		trainIDs[i] = m.table.lookup(nil, c.Train[i].Words)
+	}
 
 	parallelism := cfg.Parallelism
 	if parallelism <= 0 {
@@ -324,7 +290,7 @@ func Train(cfg Config, c *corpus.Corpus) (*Model, error) {
 			if observing {
 				catStart = time.Now()
 			}
-			cm, err := m.trainCategory(cat, c.Train)
+			cm, err := m.trainCategory(cat, c.Train, trainIDs)
 			catSpan.End()
 			if err == nil {
 				catCount.Inc()
@@ -357,82 +323,15 @@ func Train(cfg Config, c *corpus.Corpus) (*Model, error) {
 	return m, nil
 }
 
-// encode turns a document into the category's RLGP input sequence:
-// ordered (NormIndex, Membership) pairs of its member words, plus the
-// member words themselves and their positions in the original document.
-func (m *Model) encode(cat string, doc *corpus.Document) ([][]float64, []string, []int, error) {
-	keep := m.keepSets[cat]
-	filteredWords := make([]string, 0, len(doc.Words))
-	origIdx := make([]int, 0, len(doc.Words))
-	for i, w := range doc.Words {
-		if keep[w] {
-			filteredWords = append(filteredWords, w)
-			origIdx = append(origIdx, i)
-		}
-	}
-	codes, err := m.encoder.Encode(cat, filteredWords)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	inputs := make([][]float64, 0, len(codes))
-	words := make([]string, 0, len(codes))
-	positions := make([]int, 0, len(codes))
-	for k, code := range codes {
-		if !code.Member {
-			continue
-		}
-		membership := code.Membership
-		if m.cfg.DropMembershipInput {
-			membership = 0
-		}
-		inputs = append(inputs, []float64{code.NormIndex, membership})
-		words = append(words, code.Word)
-		positions = append(positions, origIdx[k])
-	}
-	return inputs, words, positions, nil
-}
-
-// encodeCached is encode behind the per-(category, document) cache used
-// on the scoring path. The returned slices are shared cache state —
-// callers must treat them as read-only.
-func (m *Model) encodeCached(cat string, doc *corpus.Document) ([][]float64, []string, []int, error) {
-	key := encodeKey{cat: cat, id: doc.ID, hash: wordsHash(doc.Words)}
-	m.encMu.RLock()
-	e, ok := m.encCache[key]
-	m.encMu.RUnlock()
-	if ok {
-		m.met.encHit.Inc()
-		return e.inputs, e.words, e.positions, nil
-	}
-	m.met.encMiss.Inc()
-	inputs, words, positions, err := m.encode(cat, doc)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	m.encMu.Lock()
-	if m.encCache == nil || len(m.encCache) >= encodeCacheCap {
-		m.encCache = make(map[encodeKey]encodedDoc)
-	}
-	m.encCache[key] = encodedDoc{inputs: inputs, words: words, positions: positions}
-	m.encMu.Unlock()
-	return inputs, words, positions, nil
-}
-
-func (m *Model) trainCategory(cat string, train []corpus.Document) (*CategoryModel, error) {
+func (m *Model) trainCategory(cat string, train []corpus.Document, ids [][]int32) (*CategoryModel, error) {
+	row := m.table.rows[cat]
 	examples := make([]lgp.Example, 0, len(train))
 	for i := range train {
-		// The cached path keeps training determinism (encodings are pure
-		// functions of the document) while letting the encode-cache
-		// hit/miss counters cover training workloads too.
-		inputs, _, _, err := m.encodeCached(cat, &train[i])
-		if err != nil {
-			return nil, err
-		}
 		label := -1.0
 		if train[i].HasCategory(cat) {
 			label = 1.0
 		}
-		examples = append(examples, lgp.Example{Inputs: inputs, Label: label})
+		examples = append(examples, lgp.Example{Inputs: gather(nil, row, ids[i]), Label: label})
 	}
 
 	var best *lgp.Result
@@ -601,29 +500,6 @@ func (m *Model) FeatureMethod() featsel.Method { return m.cfg.FeatureMethod }
 // Encoder exposes the trained hierarchical SOM encoder.
 func (m *Model) Encoder() *hsom.Encoder { return m.encoder }
 
-// SetKernel selects the encoder's level-2 distance kernel by name
-// ("float64", "float32", "legacy"; "" is the default). The choice is a
-// runtime knob — never persisted, snapshots always carry float64
-// weights. Switching drops the encode cache: cached encodings were
-// produced under the previous kernel. Not safe to call concurrently
-// with classification; services set it once per loaded model.
-func (m *Model) SetKernel(name string) error {
-	k, err := hsom.ParseKernel(name)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if err := m.encoder.SetKernel(k); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	m.encMu.Lock()
-	m.encCache = nil
-	m.encMu.Unlock()
-	return nil
-}
-
-// Kernel returns the active level-2 kernel name.
-func (m *Model) Kernel() string { return string(m.encoder.Kernel()) }
-
 // Rule returns the evolved classification rule of a category in the
 // paper's "R1=R1-I1; ..." notation.
 func (m *Model) Rule(cat string) (string, error) {
@@ -654,13 +530,12 @@ func (m *Model) Score(cat string, doc *corpus.Document) (float64, error) {
 		return 0, fmt.Errorf("core: category %q not trained", cat)
 	}
 	sp := m.met.scoreLat.Start()
-	inputs, _, _, err := m.encodeCached(cat, doc)
-	if err != nil {
-		return 0, err
-	}
+	s := m.getScratch(doc)
+	s.inputs = gather(s.inputs[:0], m.table.rows[cat], s.ids)
 	machine := m.getMachine()
-	out := m.runExample(machine, cm.Program, inputs)
+	out := m.runExample(machine, cm.Program, s.inputs)
 	m.putMachine(machine)
+	putScratch(s)
 	sp.End()
 	return out, nil
 }
@@ -670,16 +545,14 @@ func (m *Model) Score(cat string, doc *corpus.Document) (float64, error) {
 // exceeds their thresholds, in the corpus inventory order. Multi-label
 // documents naturally receive multiple categories.
 func (m *Model) Classify(doc *corpus.Document) ([]string, error) {
-	sp := m.met.classifyLat.Start()
-	defer sp.End()
+	preds, err := m.ClassifyDoc(doc, make([]Prediction, 0, len(m.cats)))
+	if err != nil {
+		return nil, err
+	}
 	var out []string
-	for _, cat := range m.cats {
-		score, err := m.Score(cat, doc)
-		if err != nil {
-			return nil, err
-		}
-		if score > m.perCat[cat].Threshold {
-			out = append(out, cat)
+	for _, p := range preds {
+		if p.InClass {
+			out = append(out, p.Category)
 		}
 	}
 	return out, nil
@@ -697,25 +570,32 @@ type Prediction struct {
 // ClassifyDoc scores the document against every trained category in the
 // corpus inventory order, appending one Prediction per category to out
 // and returning the extended slice. It is the serving layer's entry
-// point: safe for concurrent use (scoring is read-only on the model,
-// the encode cache is lock-guarded and machines come from the pool) and
-// allocation-free on the hot path when cap(out)-len(out) is at least
-// the category count — callers reuse the slice across requests.
+// point: safe for concurrent use (scoring only reads the model and its
+// encode table; scratch buffers and machines come from pools), its
+// result depends on doc.Words alone, and it is allocation-free when
+// cap(out)-len(out) is at least the category count — callers reuse the
+// slice across requests. The document's words are mapped onto the
+// vocabulary once, then each category gathers its member codes.
 //
 //tdlint:hotpath
 func (m *Model) ClassifyDoc(doc *corpus.Document, out []Prediction) ([]Prediction, error) {
 	sp := m.met.classifyLat.Start()
+	s := m.getScratch(doc)
+	machine := m.getMachine()
 	for _, cat := range m.cats {
-		score, err := m.Score(cat, doc)
-		if err != nil {
-			return out, err
-		}
+		cm := m.perCat[cat]
+		csp := m.met.scoreLat.Start()
+		s.inputs = gather(s.inputs[:0], m.table.rows[cat], s.ids)
+		score := m.runExample(machine, cm.Program, s.inputs)
+		csp.End()
 		out = append(out, Prediction{
 			Category: cat,
 			Score:    score,
-			InClass:  score > m.perCat[cat].Threshold,
+			InClass:  score > cm.Threshold,
 		})
 	}
+	m.putMachine(machine)
+	putScratch(s)
 	sp.End()
 	return out, nil
 }
@@ -728,18 +608,24 @@ func (m *Model) Trace(cat string, doc *corpus.Document) ([]TracePoint, error) {
 	if cm == nil {
 		return nil, fmt.Errorf("core: category %q not trained", cat)
 	}
-	inputs, words, positions, err := m.encodeCached(cat, doc)
-	if err != nil {
-		return nil, err
+	row := m.table.rows[cat]
+	var inputs [][]float64
+	var positions []int
+	for i, w := range doc.Words {
+		if id, ok := m.table.vocab[w]; ok && row[id].member {
+			inputs = append(inputs, row[id].in[:])
+			positions = append(positions, i)
+		}
 	}
 	machine := m.getMachine()
 	outs := machine.Trace(cm.Program, inputs)
 	m.putMachine(machine)
 	points := make([]TracePoint, len(outs))
 	for i := range outs {
+		pos := positions[i]
 		points[i] = TracePoint{
-			Word:      words[i],
-			WordIndex: positions[i],
+			Word:      doc.Words[pos],
+			WordIndex: pos,
 			Output:    outs[i],
 			InClass:   outs[i] > cm.Threshold,
 		}

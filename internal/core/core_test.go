@@ -36,7 +36,7 @@ func fastConfig(method featsel.Method) Config {
 	}
 }
 
-func smallCorpus(t *testing.T) *corpus.Corpus {
+func smallCorpus(t testing.TB) *corpus.Corpus {
 	t.Helper()
 	cfg := reuters.DefaultGenConfig()
 	cfg.Scale = 0.01
@@ -52,7 +52,7 @@ func smallCorpus(t *testing.T) *corpus.Corpus {
 var cachedModel *Model
 var cachedCorpus *corpus.Corpus
 
-func trainedModel(t *testing.T) (*Model, *corpus.Corpus) {
+func trainedModel(t testing.TB) (*Model, *corpus.Corpus) {
 	t.Helper()
 	if cachedModel != nil {
 		return cachedModel, cachedCorpus

@@ -154,8 +154,6 @@ func (m *Model) gpTraceHook(cat string, restart int) func(lgp.TournamentStats) {
 type modelMetrics struct {
 	scoreLat      telemetry.Timer
 	classifyLat   telemetry.Timer
-	encHit        *telemetry.Counter
-	encMiss       *telemetry.Counter
 	poolHit       *telemetry.Counter
 	poolMiss      *telemetry.Counter
 	evaluatedDocs *telemetry.Counter
@@ -170,8 +168,6 @@ func newModelMetrics(reg *telemetry.Registry) modelMetrics {
 	return modelMetrics{
 		scoreLat:      reg.Timer("core.score.seconds"),
 		classifyLat:   reg.Timer("core.classify.seconds"),
-		encHit:        reg.Counter("core.encode.cache.hits"),
-		encMiss:       reg.Counter("core.encode.cache.misses"),
 		poolHit:       reg.Counter("core.machine.pool.hits"),
 		poolMiss:      reg.Counter("core.machine.pool.misses"),
 		evaluatedDocs: reg.Counter("core.evaluate.docs"),

@@ -166,6 +166,9 @@ func Load(r io.Reader) (*Model, error) {
 			return nil, fmt.Errorf("core: snapshot missing model for category %q", cat)
 		}
 	}
+	if err := m.buildEncodeTable(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 

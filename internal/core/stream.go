@@ -19,12 +19,12 @@ type StreamState struct {
 }
 
 // Stream runs every category classifier incrementally over a word
-// stream: each pushed word is encoded on the fly (keep-set filter, word
-// vector, BMU, Gaussian membership) and, when it is a member word of a
-// category, stepped through that category's recurrent machine. This is
-// the online form of the paper's word tracking — the register state
-// lives across the whole stream, which is what the conclusion's Topic
-// Detection and Tracking proposal needs.
+// stream: each pushed word is looked up in the model's encode table and,
+// when it is a member word of a category, stepped through that
+// category's recurrent machine. This is the online form of the paper's
+// word tracking — the register state lives across the whole stream,
+// which is what the conclusion's Topic Detection and Tracking proposal
+// needs.
 type Stream struct {
 	model    *Model
 	cats     []string
@@ -63,27 +63,20 @@ func (s *Stream) Push(word string) (map[string]StreamState, error) {
 	s.model.met.streamWords.Inc()
 	s.words++
 	changed := make(map[string]StreamState)
+	id, ok := s.model.table.vocab[word]
+	if !ok {
+		return changed, nil
+	}
 	for _, cat := range s.cats {
-		if !s.model.keepSets[cat][word] {
+		code := &s.model.table.rows[cat][id]
+		if !code.member {
 			continue
-		}
-		codes, err := s.model.encoder.Encode(cat, []string{word})
-		if err != nil {
-			return nil, err
-		}
-		code := codes[0]
-		if !code.Member {
-			continue
-		}
-		membership := code.Membership
-		if s.model.cfg.DropMembershipInput {
-			membership = 0
 		}
 		machine := s.machines[cat]
 		if !s.model.cfg.GP.Recurrent {
 			machine.Reset()
 		}
-		machine.Step(s.model.perCat[cat].Program, []float64{code.NormIndex, membership})
+		machine.Step(s.model.perCat[cat].Program, code.in[:])
 		st := s.states[cat]
 		st.Output = lgp.Squash(machine.Output())
 		st.InClass = st.Output > s.model.perCat[cat].Threshold

@@ -62,7 +62,7 @@ func BenchmarkWordVectorCold(b *testing.B) {
 }
 
 // BenchmarkEncodeDocument measures steady-state full-document encoding
-// (warm word cache) under each level-2 kernel.
+// (warm word cache): the work one encode-table row build does per word.
 func BenchmarkEncodeDocument(b *testing.B) {
 	enc, vocab := benchEncoder(b)
 	rng := rand.New(rand.NewSource(9))
@@ -71,22 +71,15 @@ func BenchmarkEncodeDocument(b *testing.B) {
 		doc[i] = vocab[rng.Intn(len(vocab))]
 	}
 	cat := enc.Categories()[0]
-	for _, k := range []Kernel{KernelLegacy, KernelFloat64, KernelFloat32} {
-		b.Run(fmt.Sprintf("kernel=%s", k), func(b *testing.B) {
-			if err := enc.SetKernel(k); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := enc.Encode(cat, doc); err != nil { // warm the cache
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := enc.Encode(cat, doc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	if _, err := enc.Encode(cat, doc); err != nil { // warm the cache
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := enc.Encode(cat, doc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

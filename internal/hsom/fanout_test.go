@@ -97,7 +97,7 @@ func TestWordVectorTableEdgeCases(t *testing.T) {
 			t.Fatalf("non-letter word has mass at dim %d: %g", i, v)
 		}
 	}
-	if len(en.idx) != 0 || len(en.val) != 0 || len(en.val32) != 0 {
+	if len(en.idx) != 0 || len(en.val) != 0 {
 		t.Fatalf("non-letter word has non-empty sparse form: %d indices", len(en.idx))
 	}
 }
@@ -126,7 +126,7 @@ func TestWordVectorFallbackCounter(t *testing.T) {
 
 // TestWordEntrySparseMatchesDense checks every cached entry's sparse
 // form is exactly the non-zero subset of its dense vector, indices
-// sorted, with the float32 view converted value-wise.
+// sorted.
 func TestWordEntrySparseMatchesDense(t *testing.T) {
 	enc := trainedEncoder(t)
 	for _, w := range []string{"profit", "dividend", "wheat", "a", strings.Repeat("xyz", 20)} {
@@ -142,9 +142,6 @@ func TestWordEntrySparseMatchesDense(t *testing.T) {
 			}
 			if math.Float64bits(en.val[j]) != math.Float64bits(v) {
 				t.Fatalf("%q dim %d: sparse val %g, dense %g", w, i, en.val[j], v)
-			}
-			if math.Float32bits(en.val32[j]) != math.Float32bits(float32(v)) {
-				t.Fatalf("%q dim %d: val32 %g, want %g", w, i, en.val32[j], float32(v))
 			}
 			j++
 		}

@@ -6,28 +6,7 @@ import (
 	"testing"
 )
 
-func TestParseKernel(t *testing.T) {
-	for name, want := range map[string]Kernel{
-		"":        KernelFloat64,
-		"float64": KernelFloat64,
-		"float32": KernelFloat32,
-		"legacy":  KernelLegacy,
-	} {
-		got, err := ParseKernel(name)
-		if err != nil || got != want {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParseKernel("float16"); err == nil {
-		t.Error("ParseKernel accepted an unknown kernel")
-	}
-	if err := trainedEncoder(t).SetKernel("float16"); err == nil {
-		t.Error("SetKernel accepted an unknown kernel")
-	}
-}
-
-// encodeAll encodes every train-doc word against every category under
-// the encoder's current kernel.
+// encodeAll encodes a fixed word list against every category.
 func encodeAll(t *testing.T, enc *Encoder) map[string][]WordCode {
 	t.Helper()
 	words := []string{
@@ -45,22 +24,50 @@ func encodeAll(t *testing.T, enc *Encoder) map[string][]WordCode {
 	return out
 }
 
-// TestEncodeKernelParity is the hsom-level byte-identity wall: the
-// default table+sparse kernel must produce exactly the word codes the
-// legacy dense path does — units, memberships, member flags, all bits.
+// denseEncode is the dense reference of Encode: the word vector built
+// by the live per-character NearestK search, the dense BMU sweep and the
+// dense Gaussian evaluation.
+func denseEncode(t *testing.T, enc *Encoder, cat string, words []string) []WordCode {
+	t.Helper()
+	ce := enc.Category(cat)
+	units := float64(ce.Map.Units() - 1)
+	out := make([]WordCode, 0, len(words))
+	for _, w := range words {
+		dense := make([]float64, enc.CharMap().Units())
+		for _, in := range CharInputs(w) {
+			for rank, u := range enc.CharMap().NearestK(in, enc.cfg.BMUFanout) {
+				dense[u] += 1 / float64(rank+1)
+			}
+		}
+		u := ce.Map.BMU(dense)
+		code := WordCode{Word: w, Unit: u}
+		if g, ok := ce.gauss[u]; ok {
+			if raw := g.Eval(dense); raw >= g.MinValue {
+				code.Member = true
+				code.NormIndex = float64(u) / units
+				code.Membership = math.Min(raw/g.MaxValue, 1)
+			}
+		}
+		out = append(out, code)
+	}
+	return out
+}
+
+// TestEncodeKernelParity is the hsom-level byte-identity wall: Encode
+// (fanout table, sparse BMU sweep, sparse membership) must produce
+// exactly the word codes of the dense reference computation — units,
+// memberships, member flags, all bits.
 func TestEncodeKernelParity(t *testing.T) {
 	enc := trainedEncoder(t)
-	if enc.Kernel() != KernelFloat64 {
-		t.Fatalf("default kernel = %v", enc.Kernel())
-	}
 	fast := encodeAll(t, enc)
-	if err := enc.SetKernel(KernelLegacy); err != nil {
-		t.Fatal(err)
-	}
-	enc.ClearWordCache() // force the legacy pass to also recompute vectors
-	legacy := encodeAll(t, enc)
-	if !reflect.DeepEqual(fast, legacy) {
-		t.Fatalf("sparse and legacy kernels disagree:\nsparse: %+v\nlegacy: %+v", fast, legacy)
+	for cat, codes := range fast {
+		words := make([]string, len(codes))
+		for i, c := range codes {
+			words[i] = c.Word
+		}
+		if want := denseEncode(t, enc, cat, words); !reflect.DeepEqual(codes, want) {
+			t.Fatalf("%s: sparse and dense encodings disagree:\nsparse: %+v\ndense:  %+v", cat, codes, want)
+		}
 	}
 }
 
@@ -84,61 +91,11 @@ func TestEvalSparseMatchesEval(t *testing.T) {
 	}
 }
 
-// TestFloat32KernelEncode checks the opt-in float32 kernel encodes
-// deterministically, only ever differs from float64 in BMU choice (the
-// membership maths stays float64), and builds its weight views lazily
-// but exactly once.
-func TestFloat32KernelEncode(t *testing.T) {
-	enc := trainedEncoder(t)
-	base := encodeAll(t, enc)
-	if err := enc.SetKernel(KernelFloat32); err != nil {
-		t.Fatal(err)
-	}
-	if enc.Kernel() != KernelFloat32 {
-		t.Fatalf("kernel = %v after SetKernel(float32)", enc.Kernel())
-	}
-	for _, cat := range enc.Categories() {
-		if enc.Category(cat).k32 == nil {
-			t.Fatalf("category %s has no float32 view", cat)
-		}
-	}
-	a := encodeAll(t, enc)
-	b := encodeAll(t, enc)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("float32 kernel is nondeterministic")
-	}
-	for cat, codes := range a {
-		for i, c := range codes {
-			if c.Unit == base[cat][i].Unit {
-				// Same BMU ⇒ the whole code must match float64 bit-for-bit:
-				// membership is evaluated by the same float64 kernel.
-				if !reflect.DeepEqual(c, base[cat][i]) {
-					t.Fatalf("%s %q: same BMU but different code: %+v vs %+v",
-						cat, c.Word, c, base[cat][i])
-				}
-			}
-		}
-	}
-	// Switching back restores the default path.
-	if err := enc.SetKernel(""); err != nil {
-		t.Fatal(err)
-	}
-	if got := encodeAll(t, enc); !reflect.DeepEqual(got, base) {
-		t.Fatal("switching back to float64 did not restore baseline output")
-	}
-}
-
 // TestEncodeKernelsZeroAlloc is the //tdlint:hotpath no-alloc contract
 // of the steady-state encode path: warm cache lookup, sparse BMU sweep
-// (both precisions) and sparse membership must not allocate.
+// and sparse membership must not allocate.
 func TestEncodeKernelsZeroAlloc(t *testing.T) {
 	enc := trainedEncoder(t)
-	if err := enc.SetKernel(KernelFloat32); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.SetKernel(KernelFloat64); err != nil {
-		t.Fatal(err)
-	}
 	cat := enc.Categories()[0]
 	ce := enc.Category(cat)
 	var g *Gaussian
@@ -158,20 +115,14 @@ func TestEncodeKernelsZeroAlloc(t *testing.T) {
 		t.Errorf("warm lookupWord allocates %v per op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		sink += enc.bmuFor(ce, en)
+		sink += ce.Map.BMUSparse(en.idx, en.val)
 	}); n != 0 {
-		t.Errorf("bmuFor(float64) allocates %v per op", n)
+		t.Errorf("BMUSparse allocates %v per op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		fsink += enc.membershipFor(g, en)
+		fsink += g.EvalSparse(en.idx, en.val)
 	}); n != 0 {
-		t.Errorf("membershipFor allocates %v per op", n)
-	}
-	enc.kernel = KernelFloat32
-	if n := testing.AllocsPerRun(100, func() {
-		sink += enc.bmuFor(ce, en)
-	}); n != 0 {
-		t.Errorf("bmuFor(float32) allocates %v per op", n)
+		t.Errorf("EvalSparse allocates %v per op", n)
 	}
 	if sink < 0 || fsink < 0 {
 		t.Fatal("impossible")

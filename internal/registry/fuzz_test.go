@@ -20,6 +20,8 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`{"model":".hidden","version":"..","sha256":"x","bytes":-1}`))
 	f.Add([]byte(`{"model":"` + strings.Repeat("x", 100) + `"}`))
 	f.Add([]byte(`{"model":"earn","version":"v1","surprise":true}`))
+	f.Add([]byte(`{"model":"earn","version":"v1","sha256":"` + strings.Repeat("ab", 32) +
+		`","bytes":10,"feature_method":"df","kernel":"float32","created_at":"2024-03-01T12:00:00Z"}`))
 	f.Add([]byte(`{}{}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[1,2,3]`))

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"temporaldoc/internal/featsel"
-	"temporaldoc/internal/hsom"
 )
 
 const (
@@ -73,9 +72,6 @@ type Manifest struct {
 	// FeatureMethod mirrors the snapshot header; the loaded model must
 	// agree or the load fails.
 	FeatureMethod string `json:"feature_method"`
-	// Kernel, when set, overrides the registry's default encode kernel
-	// for this version (runtime-only, like serve's -kernel).
-	Kernel string `json:"kernel,omitempty"`
 	// CreatedAt orders versions: the latest version of a model is the
 	// one with the greatest (CreatedAt, Version) pair.
 	CreatedAt time.Time `json:"created_at"`
@@ -134,9 +130,6 @@ func (m *Manifest) Validate() error {
 	if !featsel.Known(featsel.Method(m.FeatureMethod)) {
 		return fmt.Errorf("registry: unknown feature method %q", m.FeatureMethod)
 	}
-	if _, err := hsom.ParseKernel(m.Kernel); err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
 	if m.CreatedAt.IsZero() {
 		return errors.New("registry: created_at is zero")
 	}
@@ -152,7 +145,7 @@ func (m *Manifest) Validate() error {
 func DecodeManifest(r io.Reader) (Manifest, error) {
 	dec := json.NewDecoder(io.LimitReader(r, maxManifestBytes))
 	dec.DisallowUnknownFields()
-	var m Manifest
+	var m storedManifest
 	if err := dec.Decode(&m); err != nil {
 		return Manifest{}, fmt.Errorf("registry: decode manifest: %w", err)
 	}
@@ -162,5 +155,16 @@ func DecodeManifest(r io.Reader) (Manifest, error) {
 	if err := m.Validate(); err != nil {
 		return Manifest{}, err
 	}
-	return m, nil
+	return m.Manifest, nil
+}
+
+// storedManifest is the decoding form of a manifest file: the Manifest
+// plus the one retired field older files may still carry.
+type storedManifest struct {
+	Manifest
+	// Kernel named a per-version encode-kernel override ("float64",
+	// "float32" or "legacy") in manifests published before models
+	// scored through their encode tables. It is decoded so those
+	// versions stay readable, and ignored: there is one encode path.
+	Kernel string `json:"kernel,omitempty"`
 }

@@ -13,7 +13,6 @@ import (
 
 	"temporaldoc/internal/core"
 	"temporaldoc/internal/featsel"
-	"temporaldoc/internal/hsom"
 	"temporaldoc/internal/telemetry"
 )
 
@@ -46,9 +45,6 @@ type Config struct {
 	// Method, when non-empty, requires every loaded snapshot to record
 	// exactly this feature-selection method.
 	Method featsel.Method
-	// Kernel is the encode kernel applied to loaded models unless their
-	// manifest overrides it.
-	Kernel hsom.Kernel
 	// Metrics receives the registry counters; nil costs nothing.
 	Metrics *telemetry.Registry
 }
@@ -72,12 +68,14 @@ type VersionStatus struct {
 	SHA256        string    `json:"sha256"`
 	Bytes         int64     `json:"bytes"`
 	FeatureMethod string    `json:"feature_method"`
-	Kernel        string    `json:"kernel,omitempty"`
 	CreatedAt     time.Time `json:"created_at"`
 	// Latest marks the version an empty-version Acquire resolves to.
 	Latest bool `json:"latest"`
 	// Resident reports whether this version is currently loaded.
 	Resident bool `json:"resident"`
+	// EncodeTable reports the load phase that built a resident
+	// version's encode table; absent while the version is cold.
+	EncodeTable *core.EncodeTableStats `json:"encode_table,omitempty"`
 }
 
 // ModelStatus is one model's catalog entry as rendered by Models.
@@ -186,9 +184,6 @@ func Open(cfg Config) (*Registry, error) {
 	}
 	if cfg.Method != "" && !featsel.Known(cfg.Method) {
 		return nil, fmt.Errorf("registry: unknown feature-selection method %q", cfg.Method)
-	}
-	if _, err := hsom.ParseKernel(string(cfg.Kernel)); err != nil {
-		return nil, err
 	}
 	if cfg.MaxResident < 0 || cfg.MaxResidentBytes < 0 {
 		return nil, errors.New("registry: resident bounds must be >= 0")
@@ -371,11 +366,14 @@ func (r *Registry) Models() []ModelStatus {
 				SHA256:        man.SHA256,
 				Bytes:         man.Bytes,
 				FeatureMethod: man.FeatureMethod,
-				Kernel:        man.Kernel,
 				CreatedAt:     man.CreatedAt,
 				Latest:        i == len(cm.order)-1,
-				Resident:      e != nil && e.elem != nil,
 			})
+			if e != nil && e.elem != nil {
+				table := e.snap.Model.EncodeTable()
+				vs := &ms.Versions[len(ms.Versions)-1]
+				vs.Resident, vs.EncodeTable = true, &table
+			}
 		}
 		out = append(out, ms)
 	}
@@ -525,13 +523,6 @@ func (r *Registry) load(model, version string, cv *catVersion) (*Snapshot, error
 	if r.cfg.Method != "" && m.FeatureMethod() != r.cfg.Method {
 		return nil, fmt.Errorf("registry: %s/%s feature method %q does not satisfy the required %q",
 			model, version, m.FeatureMethod(), r.cfg.Method)
-	}
-	kernel := string(r.cfg.Kernel)
-	if man.Kernel != "" {
-		kernel = man.Kernel
-	}
-	if err := m.SetKernel(kernel); err != nil {
-		return nil, fmt.Errorf("registry: %s/%s: %w", model, version, err)
 	}
 	m.AttachTelemetry(r.cfg.Metrics, nil)
 	//lint:ignore determinism resident-since metadata: reported on /v1/models, never reaches model state

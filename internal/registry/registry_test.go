@@ -185,7 +185,7 @@ func TestPublishAndScan(t *testing.T) {
 	f := getRegFixture(t)
 	root := t.TempDir()
 	mustPublish(t, root, "earn", "v1", f.path, PublishOptions{CreatedAt: stamp(0)})
-	mustPublish(t, root, "earn", "v2", f.pathAlt, PublishOptions{CreatedAt: stamp(1), Kernel: "float32"})
+	mustPublish(t, root, "earn", "v2", f.pathAlt, PublishOptions{CreatedAt: stamp(1)})
 	mustPublish(t, root, "acq", "v1", f.path, PublishOptions{CreatedAt: stamp(2)})
 
 	r := openReg(t, root, nil)
@@ -206,9 +206,6 @@ func TestPublishAndScan(t *testing.T) {
 	}
 	if earn.Versions[1].Version != "v2" || !earn.Versions[1].Latest {
 		t.Errorf("earn v2 = %+v, want latest", earn.Versions[1])
-	}
-	if earn.Versions[1].Kernel != "float32" {
-		t.Errorf("earn v2 kernel %q, want float32", earn.Versions[1].Kernel)
 	}
 	if earn.Versions[0].SHA256 != f.hash || earn.Versions[1].SHA256 != f.hashAlt {
 		t.Errorf("hashes %q/%q, want %q/%q",
@@ -236,7 +233,6 @@ func TestPublishRejects(t *testing.T) {
 		{"empty version", "m", "", f.path, ok},
 		{"overlong name", strings.Repeat("x", 65), "v1", f.path, ok},
 		{"zero created-at", "m", "v1", f.path, PublishOptions{}},
-		{"bad kernel", "m", "v1", f.path, PublishOptions{CreatedAt: stamp(0), Kernel: "turbo"}},
 		{"method mismatch", "m", "v1", f.path, PublishOptions{CreatedAt: stamp(0), Method: featsel.MI}},
 		{"missing source", "m", "v1", filepath.Join(root, "nope.json"), ok},
 	}
@@ -383,7 +379,6 @@ func TestManifestValidation(t *testing.T) {
 		"short sha":       mutate(func(m *Manifest) { m.SHA256 = "abcd" }),
 		"zero bytes":      mutate(func(m *Manifest) { m.Bytes = 0 }),
 		"bad method":      mutate(func(m *Manifest) { m.FeatureMethod = "tfidf" }),
-		"bad kernel":      mutate(func(m *Manifest) { m.Kernel = "turbo" }),
 		"zero created-at": mutate(func(m *Manifest) { m.CreatedAt = time.Time{} }),
 	}
 	for name, m := range bad {
@@ -406,6 +401,17 @@ func TestManifestValidation(t *testing.T) {
 	}
 	if _, err := DecodeManifest(strings.NewReader(good + `{"model":"x"}`)); err == nil {
 		t.Error("trailing data accepted")
+	}
+	// The retired kernel field still decodes (and is ignored); other
+	// unknown fields next to it are still rejected.
+	withKernel := strings.Replace(good, `"bytes":10`, `"bytes":10,"kernel":"float32"`, 1)
+	if m, err := DecodeManifest(strings.NewReader(withKernel)); err != nil {
+		t.Errorf("manifest with a kernel field rejected: %v", err)
+	} else if m.Model != "earn" || m.Bytes != 10 {
+		t.Errorf("manifest with a kernel field decoded as %+v", m)
+	}
+	if _, err := DecodeManifest(strings.NewReader(strings.Replace(withKernel, `"bytes":10`, `"bytes":10,"turbo":true`, 1))); err == nil {
+		t.Error("unknown field next to kernel accepted")
 	}
 	// The read cap truncates oversized manifests mid-value, so they fail
 	// to decode instead of being slurped into memory.
@@ -775,5 +781,53 @@ func TestLoadRejectsTamperedSnapshot(t *testing.T) {
 	_, err = r.Acquire(context.Background(), "earn", "")
 	if err == nil || !strings.Contains(err.Error(), "sha256") {
 		t.Fatalf("tampered snapshot error = %v, want a sha256 mismatch", err)
+	}
+}
+
+// TestKernelManifestStillServes loads a version published before the
+// kernel knob was retired: its manifest.json (testdata/kernel-manifest)
+// carries "kernel": "float32". The registry must scan it, load it and
+// score exactly as a direct core.LoadFile of the same snapshot does.
+func TestKernelManifestStillServes(t *testing.T) {
+	root := filepath.Join("testdata", "kernel-manifest")
+	raw, err := os.ReadFile(filepath.Join(root, "legacy", "v1", manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"kernel": "float32"`) {
+		t.Fatalf("fixture manifest lost its kernel field:\n%s", raw)
+	}
+	r := openReg(t, root, nil)
+	models := r.Models()
+	if len(models) != 1 || models[0].Name != "legacy" || len(models[0].Versions) != 1 {
+		t.Fatalf("scan saw %+v, want legacy/v1", models)
+	}
+	snap, err := r.Acquire(context.Background(), "legacy", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, info, err := core.LoadFile(filepath.Join(root, "legacy", "v1", snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Info.SHA256 != info.SHA256 || snap.Manifest.SHA256 != info.SHA256 {
+		t.Fatalf("served sha256 %s (manifest %s), file %s", snap.Info.SHA256, snap.Manifest.SHA256, info.SHA256)
+	}
+	f := getRegFixture(t)
+	for i := range f.corpus.Test {
+		got, err := snap.Model.ClassifyDoc(&f.corpus.Test[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := direct.ClassifyDoc(&f.corpus.Test[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("doc %d: registry %+v, direct load %+v", i, got, want)
+		}
+	}
+	if st := r.Models()[0].Versions[0]; !st.Resident || st.EncodeTable == nil || st.EncodeTable.Entries == 0 {
+		t.Fatalf("resident status %+v: want resident with an encode table", st)
 	}
 }

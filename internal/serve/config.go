@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"temporaldoc/internal/featsel"
-	"temporaldoc/internal/hsom"
 	"temporaldoc/internal/telemetry"
 )
 
@@ -44,12 +43,6 @@ type Config struct {
 	// of a mismatching snapshot fail. Empty accepts whatever the
 	// snapshot records.
 	Method featsel.Method
-	// Kernel selects the level-2 encode kernel applied to every loaded
-	// model: "float64" (the default, also the empty string), "float32"
-	// (the opt-in reduced-precision distance sweep) or "legacy" (the
-	// dense reference path). Runtime-only — the snapshot file is never
-	// affected.
-	Kernel string
 	// Workers bounds concurrent classification jobs. Default
 	// GOMAXPROCS.
 	Workers int
@@ -103,9 +96,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Method != "" && !featsel.Known(c.Method) {
 		return fmt.Errorf("serve: unknown feature-selection method %q", c.Method)
-	}
-	if _, err := hsom.ParseKernel(c.Kernel); err != nil {
-		return fmt.Errorf("serve: %w", err)
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"temporaldoc/internal/core"
 	"temporaldoc/internal/corpus"
 	"temporaldoc/internal/registry"
 	"temporaldoc/internal/telemetry"
@@ -265,14 +266,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // ModelzResponse is the GET /v1/modelz reply in single-model mode: the
 // serving model's identity plus a point-in-time telemetry snapshot.
 type ModelzResponse struct {
-	Mode          string         `json:"mode"`
-	ModelHash     string         `json:"model_hash"`
-	SnapshotPath  string         `json:"snapshot_path"`
-	SnapshotBytes int64          `json:"snapshot_bytes"`
-	LoadedAt      time.Time      `json:"loaded_at"`
-	FeatureMethod string         `json:"feature_method"`
-	Categories    []string       `json:"categories"`
-	Metrics       map[string]any `json:"metrics,omitempty"`
+	Mode          string    `json:"mode"`
+	ModelHash     string    `json:"model_hash"`
+	SnapshotPath  string    `json:"snapshot_path"`
+	SnapshotBytes int64     `json:"snapshot_bytes"`
+	LoadedAt      time.Time `json:"loaded_at"`
+	FeatureMethod string    `json:"feature_method"`
+	Categories    []string  `json:"categories"`
+	// EncodeTable reports the load phase that built the model's encode
+	// table.
+	EncodeTable core.EncodeTableStats `json:"encode_table"`
+	Metrics     map[string]any        `json:"metrics,omitempty"`
 }
 
 // RegistryModelzResponse is the GET /v1/modelz reply in registry mode:
@@ -315,6 +319,7 @@ func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request) {
 		LoadedAt:      snap.LoadedAt,
 		FeatureMethod: string(snap.Model.FeatureMethod()),
 		Categories:    snap.Model.Categories(),
+		EncodeTable:   snap.Model.EncodeTable(),
 		Metrics:       metrics,
 	})
 }

@@ -87,6 +87,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 func (s *Server) modelsResponse() ModelsResponse {
 	if s.registry == nil {
 		snap := s.handle.Current()
+		table := snap.Model.EncodeTable()
 		return ModelsResponse{
 			Mode:         "single",
 			DefaultModel: SingleModelName,
@@ -97,7 +98,7 @@ func (s *Server) modelsResponse() ModelsResponse {
 					SHA256:        snap.Info.SHA256,
 					Bytes:         snap.Info.Bytes,
 					FeatureMethod: string(snap.Model.FeatureMethod()),
-					Kernel:        snap.Model.Kernel(),
+					EncodeTable:   &table,
 					CreatedAt:     snap.LoadedAt,
 					Latest:        true,
 					Resident:      true,

@@ -108,8 +108,8 @@ func TestServeModelsSingleMode(t *testing.T) {
 		t.Fatalf("models = %d, want exactly 1 (a single-model server is a one-entry registry)", len(mr.Models))
 	}
 	v := findVersion(t, mr, SingleModelName, SingleModelVersion)
-	if v.SHA256 != f.hashA || !v.Latest || !v.Resident {
-		t.Errorf("single-mode version = %+v, want hash %s, latest and resident", v, f.hashA)
+	if v.SHA256 != f.hashA || !v.Latest || !v.Resident || v.EncodeTable == nil {
+		t.Errorf("single-mode version = %+v, want hash %s, latest, resident, with an encode table", v, f.hashA)
 	}
 
 	// The synthetic names are also the only ones classify accepts.
@@ -146,7 +146,7 @@ func TestServeRegistryListingAndResidency(t *testing.T) {
 		t.Fatalf("models = %d, want 2", len(mr.Models))
 	}
 	va := findVersion(t, mr, "tenant-a", "v1")
-	if va.SHA256 != f.hashA || va.Resident {
+	if va.SHA256 != f.hashA || va.Resident || va.EncodeTable != nil {
 		t.Errorf("tenant-a/v1 = %+v, want hash %s and cold before traffic", va, f.hashA)
 	}
 
@@ -163,6 +163,8 @@ func TestServeRegistryListingAndResidency(t *testing.T) {
 	mr = getModels(t, hs.URL)
 	if v := findVersion(t, mr, "tenant-a", "v1"); !v.Resident {
 		t.Error("tenant-a/v1 still cold after serving a request")
+	} else if v.EncodeTable == nil || v.EncodeTable.Entries != f.modelA.EncodeTable().Entries {
+		t.Errorf("resident tenant-a/v1 encode_table %+v, want %d entries", v.EncodeTable, f.modelA.EncodeTable().Entries)
 	}
 	if v := findVersion(t, mr, "tenant-b", "v1"); v.Resident {
 		t.Error("tenant-b/v1 resident without traffic")

@@ -8,7 +8,6 @@ import (
 
 	"temporaldoc/internal/core"
 	"temporaldoc/internal/featsel"
-	"temporaldoc/internal/hsom"
 	"temporaldoc/internal/telemetry"
 )
 
@@ -37,7 +36,6 @@ type ModelSnapshot struct {
 type Handle struct {
 	path   string
 	method featsel.Method
-	kernel hsom.Kernel
 	reg    *telemetry.Registry
 
 	// mu serialises reloads; it is never taken on the request path.
@@ -50,14 +48,11 @@ type Handle struct {
 
 // OpenHandle loads the snapshot at path and returns a live handle.
 // When method is non-empty the snapshot header must record exactly that
-// feature-selection method. kernel selects the level-2 encode kernel
-// applied to every loaded model ("" is the float64 default); the choice
-// survives reloads but never touches the snapshot file.
-func OpenHandle(path string, method featsel.Method, kernel hsom.Kernel, reg *telemetry.Registry) (*Handle, error) {
+// feature-selection method.
+func OpenHandle(path string, method featsel.Method, reg *telemetry.Registry) (*Handle, error) {
 	h := &Handle{
 		path:         path,
 		method:       method,
-		kernel:       kernel,
 		reg:          reg,
 		reloads:      reg.Counter("serve.reloads"),
 		reloadErrors: reg.Counter("serve.reload.errors"),
@@ -91,12 +86,6 @@ func (h *Handle) Reload() (*ModelSnapshot, error) {
 			h.path, m.FeatureMethod(), h.method)
 	}
 	m.AttachTelemetry(h.reg, nil)
-	// Apply the handle's kernel before publishing: requests must never
-	// observe a model whose kernel is still switching.
-	if err := m.SetKernel(string(h.kernel)); err != nil {
-		h.reloadErrors.Inc()
-		return nil, err
-	}
 	//lint:ignore determinism serving metadata: the load timestamp is reported on /v1/modelz, never reaches model state
 	now := time.Now()
 	snap := &ModelSnapshot{Model: m, Info: info, Name: SingleModelName, Version: SingleModelVersion, LoadedAt: now}

@@ -50,7 +50,6 @@ import (
 	"net/http"
 	"time"
 
-	"temporaldoc/internal/hsom"
 	"temporaldoc/internal/registry"
 	"temporaldoc/internal/telemetry"
 	"temporaldoc/internal/textproc"
@@ -104,7 +103,6 @@ func New(cfg Config) (*Server, error) {
 			MaxResident:      cfg.Resident,
 			MaxResidentBytes: cfg.ResidentBytes,
 			Method:           cfg.Method,
-			Kernel:           hsom.Kernel(cfg.Kernel),
 			Metrics:          cfg.Metrics,
 		})
 		if err != nil {
@@ -112,7 +110,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.registry = reg
 	} else {
-		handle, err := OpenHandle(cfg.ModelPath, cfg.Method, hsom.Kernel(cfg.Kernel), cfg.Metrics)
+		handle, err := OpenHandle(cfg.ModelPath, cfg.Method, cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -143,8 +141,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.Log.Info("registry opened", "dir", cfg.ModelsDir, "models", len(models), "versions", versions,
 			"resident_limit", cfg.Resident, "workers", cfg.Workers, "queue", cfg.QueueDepth)
 	} else {
-		info := s.handle.Current().Info
-		cfg.Log.Info("model loaded", "path", info.Path, "sha256", info.SHA256, "bytes", info.Bytes,
+		snap := s.handle.Current()
+		table := snap.Model.EncodeTable()
+		cfg.Log.Info("model loaded", "path", snap.Info.Path, "sha256", snap.Info.SHA256, "bytes", snap.Info.Bytes,
+			"encode_table_entries", table.Entries, "encode_table_build_ms", table.BuildMS,
 			"workers", cfg.Workers, "queue", cfg.QueueDepth)
 	}
 	return s, nil

@@ -400,6 +400,9 @@ func TestServeHealthzAndModelz(t *testing.T) {
 	if m.LoadedAt.IsZero() {
 		t.Error("modelz loaded_at is zero")
 	}
+	if want := f.modelA.EncodeTable().Entries; m.EncodeTable.Entries != want || want == 0 {
+		t.Errorf("modelz encode_table %+v, want %d entries", m.EncodeTable, want)
+	}
 }
 
 func TestServeHotReloadSwapsPredictions(t *testing.T) {
@@ -481,29 +484,12 @@ func TestServeMethodMismatch(t *testing.T) {
 	}
 }
 
-// TestServeKernelConfig checks kernel selection is validated at
-// construction and applied to the loaded model — and survives a reload.
-func TestServeKernelConfig(t *testing.T) {
-	f := getFixture(t)
-	if _, err := New(Config{ModelPath: f.pathA, Kernel: "float16"}); err == nil {
-		t.Fatal("server accepted an unknown kernel")
-	}
-	s := newTestServer(t, f.pathA, func(c *Config) { c.Kernel = "float32" })
-	if got := s.Current().Model.Kernel(); got != "float32" {
-		t.Fatalf("loaded model kernel = %q, want float32", got)
-	}
-	if _, err := s.Reload(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Current().Model.Kernel(); got != "float32" {
-		t.Fatalf("kernel lost across reload: %q", got)
-	}
-}
-
-// TestServeKernelParityWithLegacyOffline is the cross-kernel
-// byte-identity wall: the server on the default table+sparse kernel
-// must produce byte-identical predictions to offline classification on
-// the legacy dense reference path.
+// TestServeKernelParityWithLegacyOffline is the served byte-identity
+// wall: the server, scoring through the model's encode table, must
+// produce byte-identical predictions to an offline run of the legacy
+// per-request encoding path — hsom.Encoder.Encode on the keep-filtered
+// words plus Machine.RunSequence per category, which is how documents
+// were scored before encode tables existed.
 func TestServeKernelParityWithLegacyOffline(t *testing.T) {
 	f := getFixture(t)
 	s := newTestServer(t, f.pathA, func(c *Config) {
@@ -513,14 +499,39 @@ func TestServeKernelParityWithLegacyOffline(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
-	// Offline reference: a fresh load of the same snapshot, forced onto
-	// the legacy kernel (f.modelA is shared fixture state — leave it be).
+	// Offline reference: a fresh load of the same snapshot (f.modelA is
+	// shared fixture state — leave it be).
 	ref, _, err := core.LoadFile(f.pathA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.SetKernel("legacy"); err != nil {
-		t.Fatal(err)
+	gp := testConfig(0).GP
+	machine := lgp.NewMachine(gp.NumRegisters)
+	reference := func(doc *corpus.Document) []core.Prediction {
+		var preds []core.Prediction
+		for _, cat := range ref.Categories() {
+			keep := ref.Keep(cat)
+			var words []string
+			for _, w := range doc.Words {
+				if keep[w] {
+					words = append(words, w)
+				}
+			}
+			codes, err := ref.Encoder().Encode(cat, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var inputs [][]float64
+			for _, c := range codes {
+				if c.Member {
+					inputs = append(inputs, []float64{c.NormIndex, c.Membership})
+				}
+			}
+			cm := ref.CategoryModelFor(cat)
+			score := machine.RunSequence(cm.Program, inputs)
+			preds = append(preds, core.Prediction{Category: cat, Score: score, InClass: score > cm.Threshold})
+		}
+		return preds
 	}
 
 	const total, batch = 200, 100
@@ -548,10 +559,7 @@ func TestServeKernelParityWithLegacyOffline(t *testing.T) {
 	for i := 0; i < total; i++ {
 		d := &f.corpus.Test[i%len(f.corpus.Test)]
 		doc := corpus.Document{ID: fmt.Sprintf("doc-%d", i), Words: pre.Process(docText(d))}
-		preds, err := ref.ClassifyDoc(&doc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		preds := reference(&doc)
 		cats := []string{}
 		for _, p := range preds {
 			if p.InClass {
@@ -565,7 +573,7 @@ func TestServeKernelParityWithLegacyOffline(t *testing.T) {
 		fmt.Fprintln(&offlineOut)
 	}
 	if !bytes.Equal(serverOut.Bytes(), offlineOut.Bytes()) {
-		t.Fatal("sparse-kernel server and legacy-kernel offline predictions differ")
+		t.Fatal("served predictions differ from the offline reference path")
 	}
 }
 

@@ -2,13 +2,12 @@ package som
 
 import "math"
 
-// This file holds the table-driven/sparse encode kernels: BMU search
-// over sparse inputs in float64 (bit-identical to the dense sweep) and
-// an opt-in float32 variant.
+// This file holds the sparse encode kernel: BMU search over sparse
+// inputs, bit-identical to the dense sweep.
 //
 // A level-2 word vector has at most 3×len(word) non-zero entries out of
 // the char-map's unit count (91 in the paper's geometry), so the dense
-// BMU sweep multiplies mostly by zero. The sparse kernels walk only the
+// BMU sweep multiplies mostly by zero. The sparse kernel walks only the
 // non-zero (index, value) pairs — but a skipped zero term must not
 // change a single output bit, so the summation order is pinned to the
 // dense kernel's exactly:
@@ -17,7 +16,9 @@ import "math"
 //     into four accumulator lanes — lane i%4 for i < dim&^3, lane 0 for
 //     the tail — and reduces them as (s0+s1)+(s2+s3);
 //   - BMUSparse assigns every non-zero term to the same lane, in the
-//     same increasing-index order, and reduces identically;
+//     same increasing-index order, and reduces identically (sorted
+//     indices put every body term before every tail term, so it runs
+//     the two ranges as separate loops);
 //   - the skipped terms are x[i]*w[i] with x[i] = ±0.0, which contribute
 //     exactly ±0.0: adding −0.0 is always a float64 identity, and adding
 //     +0.0 is an identity unless the accumulator is −0.0 — impossible
@@ -28,18 +29,6 @@ import "math"
 // TestBMUSparseLaneOrder pins the lane layout; if the dense kernel's
 // accumulation scheme ever changes, that test (not a late parity
 // failure) is what breaks.
-
-// sparseLane returns the dense kernel's accumulator lane for index i:
-// lane i%4 inside the unrolled body, lane 0 in the scalar tail that
-// starts at n4 = dim&^3.
-//
-//tdlint:hotpath
-func sparseLane(i, n4 int) int {
-	if i >= n4 {
-		return 0
-	}
-	return i & 3
-}
 
 // BMUSparse returns the best-matching unit of the sparse input whose
 // dense expansion has val[k] at index idx[k] and zero everywhere else.
@@ -53,76 +42,25 @@ func (m *Map) BMUSparse(idx []int32, val []float64) int {
 	dim := m.cfg.Dim
 	n4 := dim &^ 3
 	val = val[:len(idx)]
+	// Indices are sorted, so the unrolled-body indices (lane i&3) all
+	// precede the tail indices (lane 0): two loops in index order give
+	// every lane the terms the dense layout assigns it, in the same order.
+	body := len(idx)
+	for body > 0 && int(idx[body-1]) >= n4 {
+		body--
+	}
+	bodyIdx, bodyVal := idx[:body], val[:body]
+	tailIdx, tailVal := idx[body:], val[body:]
 	best, bestS := 0, math.Inf(1)
 	off := 0
 	for u, n2 := range m.norm2 {
 		w := m.flat[off : off+dim : off+dim]
 		var s [4]float64
-		for k, i := range idx {
-			s[sparseLane(int(i), n4)] += val[k] * w[i]
+		for k, i := range bodyIdx {
+			s[i&3] += bodyVal[k] * w[i]
 		}
-		sc := n2 - 2*((s[0]+s[1])+(s[2]+s[3]))
-		if sc < bestS {
-			best, bestS = u, sc
-		}
-		off += dim
-	}
-	return best
-}
-
-// F32Kernel is a derived float32 view of a trained map's weights and
-// cached squared norms, backing the opt-in float32 level-2 distance
-// kernel. It is rebuilt from the float64 weights on demand — never
-// persisted — so snapshots stay precision-agnostic. Norms are
-// recomputed in float32 from the converted weights (not truncated from
-// the float64 norms), keeping the |w|² − 2·x·w score arithmetic
-// consistent within one precision.
-type F32Kernel struct {
-	dim   int
-	flat  []float32
-	norm2 []float32
-}
-
-// F32Kernel converts the map's weights to a float32 kernel view.
-func (m *Map) F32Kernel() *F32Kernel {
-	k := &F32Kernel{
-		dim:   m.cfg.Dim,
-		flat:  make([]float32, len(m.flat)),
-		norm2: make([]float32, len(m.norm2)),
-	}
-	for i, v := range m.flat {
-		k.flat[i] = float32(v)
-	}
-	for u := range k.norm2 {
-		w := k.flat[u*k.dim : (u+1)*k.dim]
-		var s float32
-		for _, x := range w {
-			s += x * x
-		}
-		k.norm2[u] = s
-	}
-	return k
-}
-
-// BMUSparse is the float32 analogue of Map.BMUSparse: same sparse input
-// contract, same lane layout and tie-breaking, float32 arithmetic
-// throughout. Deterministic, but NOT bit-identical to the float64
-// kernels — callers opt in explicitly and must gate on an accuracy
-// bound (see hsom.KernelFloat32).
-//
-//tdlint:hotpath
-func (k *F32Kernel) BMUSparse(idx []int32, val []float32) int {
-	dim := k.dim
-	n4 := dim &^ 3
-	val = val[:len(idx)]
-	best := 0
-	bestS := float32(math.Inf(1))
-	off := 0
-	for u, n2 := range k.norm2 {
-		w := k.flat[off : off+dim : off+dim]
-		var s [4]float32
-		for j, i := range idx {
-			s[sparseLane(int(i), n4)] += val[j] * w[i]
+		for k, i := range tailIdx {
+			s[0] += tailVal[k] * w[i]
 		}
 		sc := n2 - 2*((s[0]+s[1])+(s[2]+s[3]))
 		if sc < bestS {

@@ -115,8 +115,18 @@ func TestBMUSparseTieBreak(t *testing.T) {
 	}
 }
 
+// sparseLane returns the dense kernel's accumulator lane for index i:
+// lane i%4 inside the unrolled body, lane 0 in the scalar tail that
+// starts at n4 = dim&^3. BMUSparse implements this assignment.
+func sparseLane(i, n4 int) int {
+	if i >= n4 {
+		return 0
+	}
+	return i & 3
+}
+
 // TestBMUSparseLaneOrder pins the accumulator-lane contract the sparse
-// kernels replicate: lane i%4 for i < dim&^3, lane 0 for the tail.
+// kernel replicates: lane i%4 for i < dim&^3, lane 0 for the tail.
 // If the dense dot kernel's unroll scheme changes, this fails before
 // any parity test does.
 func TestBMUSparseLaneOrder(t *testing.T) {
@@ -162,72 +172,15 @@ func TestBMUSparseLaneOrder(t *testing.T) {
 	}
 }
 
-// TestF32KernelAgreesOnSeparatedInputs checks the float32 kernel picks
-// the same BMU as float64 whenever the top-2 scores are not within
-// float32 noise — i.e. the precision downgrade only ever flips
-// genuinely ambiguous ties.
-func TestF32KernelAgreesOnSeparatedInputs(t *testing.T) {
-	m, idxs, vals := sparseFixture(t, 300)
-	k32 := m.F32Kernel()
-	checked := 0
-	for i := range idxs {
-		dense := denseFromSparse(91, idxs[i], vals[i])
-		near := m.NearestK(dense, 2)
-		d1 := m.score(dense, near[0])
-		d2 := m.score(dense, near[1])
-		if d2-d1 < 1e-3 { // too close to assert across precisions
-			continue
-		}
-		checked++
-		val32 := make([]float32, len(vals[i]))
-		for k, v := range vals[i] {
-			val32[k] = float32(v)
-		}
-		if got := k32.BMUSparse(idxs[i], val32); got != near[0] {
-			t.Fatalf("input %d: float32 BMU %d, float64 %d (gap %g)", i, got, near[0], d2-d1)
-		}
-	}
-	if checked < 100 {
-		t.Fatalf("only %d separated inputs checked; fixture too degenerate", checked)
-	}
-}
-
-// TestF32KernelNormsMatchWeights checks the float32 norms are computed
-// from the converted weights, not truncated float64 norms.
-func TestF32KernelNormsMatchWeights(t *testing.T) {
-	m, _, _ := sparseFixture(t, 1)
-	k32 := m.F32Kernel()
-	for u := 0; u < m.Units(); u++ {
-		var want float32
-		for _, v := range m.Weights(u) {
-			f := float32(v)
-			want += f * f
-		}
-		if math.Float32bits(k32.norm2[u]) != math.Float32bits(want) {
-			t.Errorf("unit %d: norm %g, want %g", u, k32.norm2[u], want)
-		}
-	}
-}
-
 // TestSparseKernelZeroAlloc is the no-alloc contract of the
-// //tdlint:hotpath sparse kernels, enforced by `make encode-smoke`.
+// //tdlint:hotpath sparse kernel, enforced by `make encode-smoke`.
 func TestSparseKernelZeroAlloc(t *testing.T) {
 	m, idxs, vals := sparseFixture(t, 4)
-	k32 := m.F32Kernel()
-	val32 := make([]float32, len(vals[0]))
-	for k, v := range vals[0] {
-		val32[k] = float32(v)
-	}
 	sink := 0
 	if n := testing.AllocsPerRun(100, func() {
 		sink += m.BMUSparse(idxs[0], vals[0])
 	}); n != 0 {
 		t.Errorf("BMUSparse allocates %v per op", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		sink += k32.BMUSparse(idxs[0], val32)
-	}); n != 0 {
-		t.Errorf("F32Kernel.BMUSparse allocates %v per op", n)
 	}
 	if sink < 0 {
 		t.Fatal("impossible")
