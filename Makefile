@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-warm lint-baseline test race race-serve bench bench-encode bench-serve encode-smoke telemetry-smoke fuzz-smoke serve-smoke registry-smoke loadgen-smoke fmt-check ci
+.PHONY: all build vet lint lint-warm lint-baseline test race race-serve bench bench-encode bench-serve encode-smoke telemetry-smoke fuzz-smoke serve-smoke registry-smoke loadgen-smoke fmt-check ci
 
 all: build
 
@@ -21,15 +21,10 @@ vet:
 #
 # The run is incremental: results are content-addressed per (package,
 # analyzer) in os.UserCacheDir()/tdlint (DESIGN.md §13), so warm runs
-# only re-analyze what changed. This one invocation covers what used to
-# be a separate lint-self pass — the full suite runs over ./...,
-# internal/analysis included, and the engine eats its own dog food.
+# only re-analyze what changed. The full suite runs over ./...,
+# internal/analysis included, so the engine eats its own dog food.
 lint:
 	$(GO) run ./cmd/tdlint ./...
-
-# Historical alias: the self-lint of the analysis engine is part of
-# `lint` now that the cache makes one full-suite invocation cheap.
-lint-self: lint
 
 # Asserts the incremental cache actually bites: a warm run must report
 # zero misses and be at least 5x faster than a cold one, with findings
@@ -64,13 +59,16 @@ race:
 
 # Dedicated race gate for the serving layer: the reload-under-load test
 # (TestReloadUnderLoad) hammers /v1/classify from many goroutines while
-# snapshots hot-swap, the registry wall proves single-flight loading and
-# LRU eviction under contention (TestAcquireSingleFlightStampede,
-# TestLRUEvictionOrder), and core's ClassifyDoc must stay safe under the
-# same concurrency: TestClassifyDocConcurrentDistinct scores distinct
-# documents from 8 goroutines on one model against the reference path
-# and checks results depend on the document's words alone. Kept separate from `race` so the serve wall stays a
-# named, required CI step even if the global race target is trimmed.
+# registry rescans swap the -model snapshot, the registry wall proves
+# single-flight loading and LRU eviction under contention
+# (TestAcquireSingleFlightStampede, TestLRUEvictionOrder) and that a
+# file-source rescan validates before it swaps, and core's ClassifyDoc
+# must stay safe under the same concurrency:
+# TestClassifyDocConcurrentDistinct scores distinct documents from 8
+# goroutines on one model against the reference path and checks
+# results depend on the document's words alone. Kept separate from
+# `race` so the serve wall stays a named, required CI step even if the
+# global race target is trimmed.
 race-serve:
 	$(GO) test -race -count=1 ./internal/serve/ ./internal/core/ ./internal/registry/
 

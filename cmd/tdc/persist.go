@@ -53,7 +53,9 @@ func cmdTrain(args []string) error {
 	}
 	ts.log.Info("training", "documents", len(c.Train), "categories", len(c.Categories))
 	cfg := p.CoreConfig(m)
-	cfg.Progress = ts.trainProgress()
+	if cfg.Observer == nil {
+		cfg.Observer = ts.trainProgress()
+	}
 	model, err := core.Train(cfg, c)
 	if err != nil {
 		return err

@@ -17,13 +17,14 @@ import (
 	"temporaldoc/internal/telemetry"
 )
 
-// cmdServe runs the long-lived classification server over a persisted
-// model snapshot (-model) or a model registry directory (-models-dir,
-// multi-tenant: requests pick a model/version, cold models load lazily
-// into a bounded resident cache).
+// cmdServe runs the long-lived classification server over a model
+// registry: a model registry directory (-models-dir, multi-tenant:
+// requests pick a model/version, cold models load lazily into a bounded
+// resident cache) or a one-entry registry over a persisted snapshot
+// (-model, served as model "default", version "current").
 //
-// Lifecycle: SIGHUP (or POST /v1/reload) re-reads -model and swaps it
-// in atomically — or rescans -models-dir in registry mode;
+// Lifecycle: SIGHUP (or POST /v1/reload) rescans the registry — for
+// -model, re-reads the file and swaps it in once it validates;
 // SIGINT/SIGTERM stop accepting connections, drain in-flight requests
 // for up to -drain, then exit.
 func cmdServe(args []string) error {
@@ -69,8 +70,8 @@ func cmdServe(args []string) error {
 		return errors.New("-trace-sample needs -trace-events to write the records to")
 	}
 
-	// -model has a default for the single-model path; in registry mode it
-	// only counts when the user actually set it (then the modes conflict).
+	// -model has a default; next to -models-dir it only counts when the
+	// user actually set it (then the two sources conflict).
 	mp := *modelPath
 	if *modelsDir != "" {
 		modelSet := false
@@ -124,17 +125,11 @@ func cmdServe(args []string) error {
 		select {
 		case sig := <-sigCh:
 			if sig == syscall.SIGHUP {
-				if srv.MultiTenant() {
-					if stats, err := srv.Rescan(); err != nil {
-						ts.log.Error("SIGHUP rescan failed; previous catalog keeps serving", "err", err)
-					} else {
-						ts.log.Info("SIGHUP rescan done", "models", stats.Models, "versions", stats.Versions,
-							"skipped", stats.Skipped, "temp_dirs", stats.TempDirs)
-					}
-				} else if snap, err := srv.Reload(); err != nil {
-					ts.log.Error("SIGHUP reload failed; previous model keeps serving", "err", err)
+				if stats, err := srv.Reload(); err != nil {
+					ts.log.Error("SIGHUP reload failed; previous snapshots keep serving", "err", err)
 				} else {
-					ts.log.Info("SIGHUP reload done", "sha256", snap.Info.SHA256)
+					ts.log.Info("SIGHUP reload done", "models", stats.Models, "versions", stats.Versions,
+						"skipped", stats.Skipped, "temp_dirs", stats.TempDirs)
 				}
 				continue
 			}

@@ -184,21 +184,21 @@ func (ts *telemetrySession) apply(p *experiments.Profile) {
 	p.Observer = ts.observer
 }
 
-// trainProgress returns the legacy milestone callback used when no
-// richer observer is active, so a plain `tdc train` keeps its familiar
-// encoder/classifier milestones on stderr (now via slog, so -quiet and
-// -log-format apply). Nil when the observer already logs them.
-func (ts *telemetrySession) trainProgress() func(stage, detail string) {
+// trainProgress returns the milestone observer used when no richer
+// observer is active, so a plain `tdc train` logs its encoder and
+// classifier milestones through slog (-quiet and -log-format apply).
+// Nil when the session observer already logs them.
+func (ts *telemetrySession) trainProgress() core.Observer {
 	if ts.observer != nil {
 		return nil
 	}
-	return func(stage, detail string) {
-		if stage == "encoder" {
+	return core.Milestones(func(e core.TrainEvent) {
+		if e.Kind == core.EventEncoderReady {
 			ts.log.Info("encoder trained")
 			return
 		}
-		ts.log.Info("classifier ready", "category", detail)
-	}
+		ts.log.Info("classifier ready", "category", e.Category)
+	})
 }
 
 // close flushes the snapshot file and tears the sinks down; call via

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"temporaldoc/internal/core"
 	"temporaldoc/internal/telemetry"
 )
 
@@ -40,8 +43,21 @@ func TestTelemetrySessionDisabledByDefault(t *testing.T) {
 	if ts.observer != nil {
 		t.Error("observer installed without telemetry flags")
 	}
-	if ts.trainProgress() == nil {
-		t.Error("plain session lost the milestone Progress shim")
+	progress := ts.trainProgress()
+	if progress == nil {
+		t.Fatal("plain session lost the milestone observer")
+	}
+	// The milestone observer logs exactly the two milestones a plain
+	// `tdc train` prints; epochs and tournaments stay silent.
+	var buf bytes.Buffer
+	ts.log = slog.New(slog.NewTextHandler(&buf, nil))
+	for _, kind := range []core.EventKind{core.EventSOMEpoch, core.EventEncoderReady, core.EventGeneration, core.EventCategoryTrained} {
+		progress.OnTrainEvent(core.TrainEvent{Kind: kind, Category: "earn"})
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], `msg="encoder trained"`) ||
+		!strings.Contains(lines[1], `msg="classifier ready" category=earn`) {
+		t.Errorf("milestone log = %q, want encoder trained then classifier ready for earn", lines)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 //     lint time.
 //
 //  2. Pin the snapshot once. An atomic.Pointer/atomic.Value field is a
-//     hot-swappable handle (serve's model snapshot is the archetype).
+//     hot-swappable handle (a swappable model snapshot is the archetype).
 //     Loading it twice in one request/job flow — directly or through
 //     any chain of calls — means a concurrent Store between the loads
 //     hands the two halves of the flow different generations: the
@@ -402,7 +402,7 @@ func atomicFieldID(pass *analysis.Pass, sel *ast.SelectorExpr) (string, *types.V
 }
 
 // shortFieldID drops the module-path noise from a field ID:
-// "temporaldoc/internal/serve.Handle.cur" → "serve.Handle.cur".
+// "temporaldoc/internal/pkg.Type.field" → "pkg.Type.field".
 func shortFieldID(fid string) string {
 	if i := strings.LastIndex(fid, "/"); i >= 0 {
 		return fid[i+1:]

@@ -16,8 +16,8 @@ import (
 // with a string or integer underlying type and at least two
 // package-level constants of exactly that type in its defining package
 // — core.EventKind is the motivating case: a new TrainEvent kind must
-// be routed by every switch site (the CLI's event logger, the Progress
-// shim), not silently dropped.
+// be routed by every switch site (the CLI's event logger), not
+// silently dropped.
 //
 // A `default` case opts a switch out: partial handling is then a
 // visible, deliberate decision. Switches with any non-constant case

@@ -58,14 +58,6 @@ type Config struct {
 	// maximises training F1 — an ablation of the Equation 6 design
 	// choice).
 	Threshold ThresholdRule
-	// Progress, when non-nil, is called as training advances: once when
-	// the encoder is ready ("encoder", "") and once per trained category
-	// ("category", name). Calls may come from concurrent goroutines; the
-	// callback must be safe for concurrent use. New code should prefer
-	// Observer, which receives the same milestones (and much more) as
-	// typed TrainEvents; Progress is kept as a shim and keeps firing
-	// whether or not an Observer is installed.
-	Progress func(stage, detail string)
 	// Observer, when non-nil, receives typed TrainEvents covering SOM
 	// epochs, GP tournaments and training milestones. Events may come
 	// from concurrent goroutines. Observers are diagnostics-only: the
@@ -275,7 +267,7 @@ func Train(cfg Config, c *corpus.Corpus) (*Model, error) {
 	sem := make(chan struct{}, parallelism)
 	catTimer := cfg.Metrics.Timer("core.category.train.seconds")
 	catCount := cfg.Metrics.Counter("core.categories.trained")
-	observing := cfg.Observer != nil || cfg.Progress != nil
+	observing := cfg.Observer != nil
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error

@@ -17,13 +17,13 @@ const (
 	// encoder level (Level "char" or "word"; Category set for "word").
 	EventSOMEpoch EventKind = "som_epoch"
 	// EventEncoderReady fires once when the hierarchical encoder is
-	// trained (the old Progress("encoder", "") moment).
+	// trained.
 	EventEncoderReady EventKind = "encoder_ready"
 	// EventGeneration fires after every GP tournament of a category's
 	// evolution (the paper calls tournaments "generations").
 	EventGeneration EventKind = "generation"
-	// EventCategoryTrained fires when one category's classifier is ready
-	// (the old Progress("category", name) moment).
+	// EventCategoryTrained fires when one category's classifier is
+	// ready.
 	EventCategoryTrained EventKind = "category_trained"
 )
 
@@ -31,8 +31,7 @@ const (
 // relevant to the Kind are set; the zero values of the rest are omitted
 // from JSON, so JSONL traces stay compact. Events are emitted from the
 // goroutine doing the work — per-category trainers run concurrently, so
-// observers must be safe for concurrent use (as Progress always had to
-// be).
+// observers must be safe for concurrent use.
 type TrainEvent struct {
 	Kind     EventKind `json:"kind"`
 	Category string    `json:"category,omitempty"`
@@ -64,8 +63,8 @@ type TrainEvent struct {
 	Duration time.Duration `json:"duration_ns,omitempty"`
 }
 
-// Observer receives structured TrainEvents as training advances — the
-// typed successor of Config.Progress. Implementations must be safe for
+// Observer receives structured TrainEvents as training advances.
+// Implementations must be safe for
 // concurrent use: per-category trainers emit from their own goroutines.
 // Observers are diagnostics-only; nothing they do can alter training.
 type Observer interface {
@@ -78,30 +77,36 @@ type ObserverFunc func(TrainEvent)
 // OnTrainEvent calls f(e).
 func (f ObserverFunc) OnTrainEvent(e TrainEvent) { f(e) }
 
-// emit fans one event out to the configured observer and the legacy
-// Progress shim. The Progress callback keeps its exact historical
-// contract: ("encoder", "") once, then ("category", name) per category.
+// Milestones adapts a function to an Observer that is handed only
+// EventEncoderReady and EventCategoryTrained. Train skips the per-epoch
+// and per-tournament instrumentation for it, so logging the milestones
+// costs a plain training run nothing else.
+type Milestones func(TrainEvent)
+
+// OnTrainEvent calls f(e) for the two milestone kinds.
+func (f Milestones) OnTrainEvent(e TrainEvent) {
+	if e.Kind == EventEncoderReady || e.Kind == EventCategoryTrained {
+		f(e)
+	}
+}
+
+// detailed reports whether the observer takes per-epoch and
+// per-tournament events.
+func (c *Config) detailed() bool {
+	_, milestones := c.Observer.(Milestones)
+	return c.Observer != nil && !milestones
+}
+
+// emit hands one event to the configured observer, if any.
 func (c *Config) emit(e TrainEvent) {
 	if c.Observer != nil {
 		c.Observer.OnTrainEvent(e)
-	}
-	if c.Progress != nil {
-		switch e.Kind {
-		case EventEncoderReady:
-			c.Progress("encoder", "")
-		case EventCategoryTrained:
-			c.Progress("category", e.Category)
-		default:
-			// Epoch- and tournament-level kinds are deliberately not
-			// forwarded: Progress keeps its historical two-milestone
-			// contract.
-		}
 	}
 }
 
 // somEpochHook adapts hsom's per-epoch callback into TrainEvents.
 func (c *Config) somEpochHook() func(level, category string, s som.EpochStats) {
-	if c.Observer == nil {
+	if !c.detailed() {
 		return nil
 	}
 	return func(level, category string, s som.EpochStats) {
@@ -123,7 +128,7 @@ func (c *Config) somEpochHook() func(level, category string, s som.EpochStats) {
 // TrainEvents and registry metrics, or returns nil when both sinks are
 // disabled (leaving the trainer's untraced fast path).
 func (m *Model) gpTraceHook(cat string, restart int) func(lgp.TournamentStats) {
-	if m.cfg.Observer == nil && m.cfg.Metrics == nil {
+	if !m.cfg.detailed() && m.cfg.Metrics == nil {
 		return nil
 	}
 	tournaments := m.cfg.Metrics.Counter("lgp.tournaments")

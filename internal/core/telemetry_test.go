@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -10,9 +11,9 @@ import (
 )
 
 // TestTelemetryDoesNotPerturbModel is the ISSUE's determinism gate:
-// training with the full telemetry stack attached (registry, typed
-// observer, legacy Progress shim) must persist byte-identical model
-// snapshots to training with telemetry fully disabled.
+// training with the full telemetry stack attached (registry and typed
+// observer) must persist byte-identical model snapshots to training
+// with telemetry fully disabled.
 func TestTelemetryDoesNotPerturbModel(t *testing.T) {
 	c := smallCorpus(t)
 
@@ -30,12 +31,6 @@ func TestTelemetryDoesNotPerturbModel(t *testing.T) {
 		events = append(events, e)
 		mu.Unlock()
 	})
-	var progress int
-	cfg.Progress = func(stage, detail string) {
-		mu.Lock()
-		progress++
-		mu.Unlock()
-	}
 	traced, err := Train(cfg, c)
 	if err != nil {
 		t.Fatalf("Train (telemetry): %v", err)
@@ -50,6 +45,33 @@ func TestTelemetryDoesNotPerturbModel(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("model bytes differ with telemetry attached: %d vs %d bytes", a.Len(), b.Len())
+	}
+
+	// A Milestones observer (what a plain `tdc train` logs through) is
+	// handed one encoder milestone plus one per category — never the
+	// generation events the metrics hook still emits — and leaves the
+	// bytes alone too.
+	mcfg := fastConfig(featsel.DF)
+	mcfg.Metrics = telemetry.NewRegistry()
+	milestones := map[EventKind]int{}
+	mcfg.Observer = Milestones(func(e TrainEvent) {
+		mu.Lock()
+		milestones[e.Kind]++
+		mu.Unlock()
+	})
+	quiet, err := Train(mcfg, c)
+	if err != nil {
+		t.Fatalf("Train (milestones): %v", err)
+	}
+	var q bytes.Buffer
+	if err := quiet.Save(&q); err != nil {
+		t.Fatalf("Save milestones: %v", err)
+	}
+	if !bytes.Equal(a.Bytes(), q.Bytes()) {
+		t.Errorf("model bytes differ with a milestone observer: %d vs %d bytes", a.Len(), q.Len())
+	}
+	if want := (map[EventKind]int{EventEncoderReady: 1, EventCategoryTrained: len(c.Categories)}); !reflect.DeepEqual(milestones, want) {
+		t.Errorf("milestone observer saw %v, want %v", milestones, want)
 	}
 
 	// The observer must have seen every event kind the pipeline emits.
@@ -67,11 +89,6 @@ func TestTelemetryDoesNotPerturbModel(t *testing.T) {
 	}
 	if want := len(c.Categories); kinds[EventCategoryTrained] != want {
 		t.Errorf("EventCategoryTrained fired %d times, want %d", kinds[EventCategoryTrained], want)
-	}
-	// The legacy Progress shim keeps its contract alongside the observer:
-	// one encoder milestone plus one call per category.
-	if want := 1 + len(c.Categories); progress != want {
-		t.Errorf("Progress fired %d times, want %d", progress, want)
 	}
 
 	// The registry must have covered SOM epochs, GP tournaments and the

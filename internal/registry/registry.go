@@ -24,10 +24,18 @@ var (
 	ErrModelRequired  = errors.New("registry: request must name a model (no default is configured and more than one model is published)")
 )
 
+// FileModel and FileVersion name the single entry of a file source
+// (OpenFile): a one-snapshot server is a one-entry registry.
+const (
+	FileModel   = "default"
+	FileVersion = "current"
+)
+
 // Config parameterises one registry instance.
 type Config struct {
 	// Root is the registry directory (layout: <root>/<model>/<version>).
 	// It must exist; publishing creates model directories beneath it.
+	// OpenFile requires it empty.
 	Root string
 	// Default, when set, is the model Acquire resolves an empty model
 	// name to. When unset and exactly one model is published, that model
@@ -101,7 +109,8 @@ type Snapshot struct {
 // catVersion is one scanned version in the catalog.
 type catVersion struct {
 	manifest Manifest
-	dir      string
+	// path is the version's snapshot file.
+	path string
 }
 
 // catModel is one scanned model: its versions plus their latest-last
@@ -148,6 +157,13 @@ type regMetrics struct {
 type Registry struct {
 	cfg Config
 
+	// file, when set, makes this a file source (OpenFile): the catalog
+	// is the one snapshot at this path.
+	file string
+
+	// scanMu serialises Scan, so the last scan to start is the last to
+	// swap its catalog in.
+	scanMu sync.Mutex
 	// mu guards catalog, resident, lru and residentBytes. It is held
 	// only for map/list work — never across a model load.
 	mu            sync.Mutex
@@ -177,6 +193,22 @@ func Open(cfg Config) (*Registry, error) {
 	if !fi.IsDir() {
 		return nil, fmt.Errorf("registry: root %s is not a directory", cfg.Root)
 	}
+	return open(cfg, "")
+}
+
+// OpenFile opens a read-only file source: a registry whose catalog is
+// the snapshot at path, served as model FileModel, version FileVersion.
+// The snapshot loads now, so a bad file fails here; Scan re-reads it.
+func OpenFile(path string, cfg Config) (*Registry, error) {
+	if cfg.Root != "" {
+		return nil, errors.New("registry: OpenFile serves one file; Config.Root must be empty")
+	}
+	return open(cfg, path)
+}
+
+// open validates the source-independent configuration and runs the
+// first scan.
+func open(cfg Config, file string) (*Registry, error) {
 	if cfg.Default != "" {
 		if err := ValidateName(cfg.Default); err != nil {
 			return nil, fmt.Errorf("registry: default model: %w", err)
@@ -190,6 +222,7 @@ func Open(cfg Config) (*Registry, error) {
 	}
 	r := &Registry{
 		cfg:      cfg,
+		file:     file,
 		catalog:  map[string]*catModel{},
 		resident: map[resKey]*resEntry{},
 		lru:      list.New(),
@@ -216,7 +249,13 @@ func Open(cfg Config) (*Registry, error) {
 // models whose version vanished from disk are dropped from the cache —
 // requests that already pinned them are unaffected. Safe to call while
 // serving: Acquire resolves names against whichever catalog is current.
+// On a file source Scan reloads the file instead (scanFile).
 func (r *Registry) Scan() (ScanStats, error) {
+	r.scanMu.Lock()
+	defer r.scanMu.Unlock()
+	if r.file != "" {
+		return r.scanFile()
+	}
 	var stats ScanStats
 	catalog := map[string]*catModel{}
 	entries, err := os.ReadDir(r.cfg.Root)
@@ -264,6 +303,58 @@ func (r *Registry) Scan() (ScanStats, error) {
 	return stats, nil
 }
 
+// scanFile reloads a file source. The snapshot is loaded, checked
+// against Config.Method and attached to telemetry before anything is
+// swapped; only then do the catalog and the resident entry change, in
+// one critical section. On error nothing changes: the previous
+// snapshot keeps serving and pinned snapshots stay valid.
+func (r *Registry) scanFile() (ScanStats, error) {
+	r.met.loads.Inc()
+	m, info, err := r.loader(r.file)
+	if err != nil {
+		r.met.loadErrors.Inc()
+		return ScanStats{}, err
+	}
+	if r.cfg.Method != "" && m.FeatureMethod() != r.cfg.Method {
+		r.met.loadErrors.Inc()
+		return ScanStats{}, fmt.Errorf("registry: snapshot %s was trained with feature method %q, not the required %q",
+			r.file, m.FeatureMethod(), r.cfg.Method)
+	}
+	m.AttachTelemetry(r.cfg.Metrics, nil)
+	//lint:ignore determinism load-time metadata: reported on /v1/models and /v1/modelz, never reaches model state
+	now := time.Now()
+	man := Manifest{
+		Model:         FileModel,
+		Version:       FileVersion,
+		SHA256:        info.SHA256,
+		Bytes:         info.Bytes,
+		FeatureMethod: string(m.FeatureMethod()),
+		CreatedAt:     now,
+	}
+	key := resKey{FileModel, FileVersion}
+	e := &resEntry{
+		key:  key,
+		done: make(chan struct{}),
+		snap: &Snapshot{Model: m, Info: info, Name: FileModel, Version: FileVersion, Manifest: man, LoadedAt: now},
+	}
+	close(e.done)
+
+	r.mu.Lock()
+	r.catalog = map[string]*catModel{FileModel: {
+		versions: map[string]*catVersion{FileVersion: {manifest: man, path: r.file}},
+		order:    []string{FileVersion},
+	}}
+	if old := r.resident[key]; old != nil {
+		r.lru.Remove(old.elem)
+		r.residentBytes -= old.snap.Info.Bytes
+	}
+	e.elem = r.lru.PushFront(e)
+	r.resident[key] = e
+	r.residentBytes += info.Bytes
+	r.mu.Unlock()
+	return ScanStats{Models: 1, Versions: 1}, nil
+}
+
 // scanModel reads one model directory, returning nil when no valid
 // version survives.
 func (r *Registry) scanModel(model string, stats *ScanStats) *catModel {
@@ -296,7 +387,7 @@ func (r *Registry) scanModel(model string, stats *ScanStats) *catModel {
 			stats.Skipped++
 			continue
 		}
-		cm.versions[version] = &catVersion{manifest: man, dir: vdir}
+		cm.versions[version] = &catVersion{manifest: man, path: filepath.Join(vdir, snapshotName)}
 		cm.order = append(cm.order, version)
 	}
 	if len(cm.order) == 0 {
@@ -421,6 +512,23 @@ func (r *Registry) DefaultVersionInfo() (model, version, sha256 string, ok bool)
 	return name, v, cm.versions[v].manifest.SHA256, true
 }
 
+// DefaultResident returns the default model's latest version when it is
+// resident, without loading it or touching the LRU order — the identity
+// /v1/modelz reports. A file source's snapshot is always resident.
+func (r *Registry) DefaultResident() (*Snapshot, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	name, err := r.defaultLocked()
+	if err != nil {
+		return nil, false
+	}
+	e := r.resident[resKey{name, r.catalog[name].latest()}]
+	if e == nil || e.elem == nil {
+		return nil, false
+	}
+	return e.snap, true
+}
+
 // Acquire resolves (model, version) — both optional: an empty model
 // takes the default, an empty version the model's latest — and returns
 // the resident snapshot, loading it if cold. Concurrent cold requests
@@ -503,7 +611,7 @@ func (r *Registry) Acquire(ctx context.Context, model, version string) (*Snapsho
 // registry lock — loading is the slow path and must not block hits.
 func (r *Registry) load(model, version string, cv *catVersion) (*Snapshot, error) {
 	r.met.loads.Inc()
-	m, info, err := r.loader(filepath.Join(cv.dir, snapshotName))
+	m, info, err := r.loader(cv.path)
 	if err != nil {
 		return nil, fmt.Errorf("registry: load %s/%s: %w", model, version, err)
 	}

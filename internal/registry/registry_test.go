@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,6 +42,9 @@ type regFixture struct {
 	// same predictions, different snapshot hash.
 	pathAlt string
 	hashAlt string
+	// pathOther is a different model (another training seed, same
+	// corpus).
+	pathOther string
 }
 
 var (
@@ -85,16 +89,20 @@ func buildRegFixture() (*regFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &regFixture{corpus: c, path: filepath.Join(dir, "snap.json"), pathAlt: filepath.Join(dir, "snap-alt.json")}
-	out, err := os.Create(f.path)
+	f := &regFixture{corpus: c, path: filepath.Join(dir, "snap.json"), pathAlt: filepath.Join(dir, "snap-alt.json"),
+		pathOther: filepath.Join(dir, "snap-other.json")}
+	if err := saveModel(m, f.path); err != nil {
+		return nil, err
+	}
+	// Any different model will do, so train it with a tenth of the
+	// evolution budget.
+	cfg.Seed = 6
+	cfg.GP.Tournaments = 30
+	other, err := core.Train(cfg, c)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Save(out); err != nil {
-		out.Close()
-		return nil, err
-	}
-	if err := out.Close(); err != nil {
+	if err := saveModel(other, f.pathOther); err != nil {
 		return nil, err
 	}
 	// Reload from disk so the reference model is exactly the persisted
@@ -121,6 +129,18 @@ func buildRegFixture() (*regFixture, error) {
 		f.hashAlt = altInfo.SHA256
 	}
 	return f, nil
+}
+
+func saveModel(m *core.Model, path string) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := m.Save(out); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 func getRegFixture(t *testing.T) *regFixture {
@@ -829,5 +849,199 @@ func TestKernelManifestStillServes(t *testing.T) {
 	}
 	if st := r.Models()[0].Versions[0]; !st.Resident || st.EncodeTable == nil || st.EncodeTable.Entries == 0 {
 		t.Fatalf("resident status %+v: want resident with an encode table", st)
+	}
+}
+
+// --- file source (OpenFile) ---
+
+// copySnapshot copies a snapshot file to dst.
+func copySnapshot(t *testing.T, src, dst string) {
+	t.Helper()
+	b, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// predictionBits renders a model's scores for every test document as
+// raw float bits, so equality means bit-for-bit identical scoring.
+func predictionBits(t *testing.T, m *core.Model, docs []corpus.Document) []uint64 {
+	t.Helper()
+	var out []uint64
+	for i := range docs {
+		preds, err := m.ClassifyDoc(&docs[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range preds {
+			out = append(out, math.Float64bits(p.Score))
+		}
+	}
+	return out
+}
+
+func TestOpenFileRejects(t *testing.T) {
+	f := getRegFixture(t)
+	dir := t.TempDir()
+	corrupt := filepath.Join(dir, "corrupt.json")
+	if err := os.WriteFile(corrupt, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		path string
+		cfg  Config
+		want string
+	}{
+		{"missing file", filepath.Join(dir, "absent.json"), Config{}, "absent.json"},
+		{"corrupt file", corrupt, Config{}, ""},
+		{"method mismatch", f.path, Config{Method: featsel.MI}, "feature method"},
+		{"root set", f.path, Config{Root: dir}, "Root"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Metrics = telemetry.NewRegistry()
+			r, err := OpenFile(tc.path, tc.cfg)
+			if err == nil {
+				t.Fatalf("OpenFile accepted it: %+v", r.Models())
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+func TestOpenFileCatalog(t *testing.T) {
+	f := getRegFixture(t)
+	r, err := OpenFile(f.path, Config{Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := r.Models()
+	if len(models) != 1 || models[0].Name != FileModel || len(models[0].Versions) != 1 {
+		t.Fatalf("catalog %+v, want exactly %s/%s", models, FileModel, FileVersion)
+	}
+	v := models[0].Versions[0]
+	if v.Version != FileVersion || v.SHA256 != f.hash || v.Bytes != f.bytes || v.FeatureMethod != "df" {
+		t.Errorf("version %+v, want %s with hash %s, %d bytes, df", v, FileVersion, f.hash, f.bytes)
+	}
+	if !v.Latest || !v.Resident || v.EncodeTable == nil || v.EncodeTable.Entries == 0 || v.CreatedAt.IsZero() {
+		t.Errorf("version %+v, want latest, resident, with an encode table and a load time", v)
+	}
+	if model, version, sha, ok := r.DefaultVersionInfo(); !ok || model != FileModel || version != FileVersion || sha != f.hash {
+		t.Errorf("DefaultVersionInfo = %s/%s %s %v", model, version, sha, ok)
+	}
+	snap, err := r.Acquire(context.Background(), "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := r.DefaultResident(); !ok || res != snap {
+		t.Errorf("DefaultResident = %p %v, want the acquired snapshot %p", res, ok, snap)
+	}
+	if _, err := r.Acquire(context.Background(), "other", ""); !errors.Is(err, ErrUnknownModel) {
+		t.Errorf("Acquire(other) error %v, want ErrUnknownModel", err)
+	}
+	if got := counter(r, "registry.loads"); got != 1 {
+		t.Errorf("registry.loads = %d, want 1 (the eager load)", got)
+	}
+}
+
+// TestFileScanSwapsAndPinsSurvive: a rescan after the file changed
+// swaps the served snapshot, while a snapshot pinned before the swap
+// keeps scoring exactly as the old bytes do.
+func TestFileScanSwapsAndPinsSurvive(t *testing.T) {
+	f := getRegFixture(t)
+	dir := t.TempDir()
+	live, old := filepath.Join(dir, "live.json"), filepath.Join(dir, "old.json")
+	copySnapshot(t, f.path, live)
+	copySnapshot(t, f.path, old)
+	r, err := OpenFile(live, Config{Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	pinned, err := r.Acquire(ctx, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	copySnapshot(t, f.pathOther, live)
+	stats, err := r.Scan()
+	if err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	if stats != (ScanStats{Models: 1, Versions: 1}) {
+		t.Errorf("stats %+v, want 1 model / 1 version", stats)
+	}
+	_, otherInfo, err := core.LoadFile(f.pathOther)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, sha, _ := r.DefaultVersionInfo(); sha != otherInfo.SHA256 || sha == f.hash {
+		t.Fatalf("sha256 after Scan = %s, want the new file's %s", sha, otherInfo.SHA256)
+	}
+	cur, err := r.Acquire(ctx, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Info.SHA256 != otherInfo.SHA256 || cur == pinned {
+		t.Errorf("Acquire after Scan served %s, want %s", cur.Info.SHA256, otherInfo.SHA256)
+	}
+	if r.ResidentCount() != 1 {
+		t.Errorf("resident count %d after the swap, want 1", r.ResidentCount())
+	}
+
+	direct, _, err := core.LoadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pinned.Info.SHA256 != f.hash {
+		t.Errorf("pinned snapshot changed identity to %s", pinned.Info.SHA256)
+	}
+	got, want := predictionBits(t, pinned.Model, f.corpus.Test), predictionBits(t, direct, f.corpus.Test)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("snapshot pinned before the swap no longer scores like the old bytes")
+	}
+	if reflect.DeepEqual(predictionBits(t, cur.Model, f.corpus.Test), want) {
+		t.Error("the fixture's two models score identically; the pin check proves nothing")
+	}
+}
+
+// TestFileScanFailureKeepsServing: a rescan of a corrupted file fails
+// and changes nothing.
+func TestFileScanFailureKeepsServing(t *testing.T) {
+	f := getRegFixture(t)
+	live := filepath.Join(t.TempDir(), "live.json")
+	copySnapshot(t, f.path, live)
+	r, err := OpenFile(live, Config{Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	before, err := r.Acquire(ctx, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(live, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Scan(); err == nil {
+		t.Fatal("Scan accepted a corrupt snapshot")
+	}
+	after, err := r.Acquire(ctx, "", "")
+	if err != nil {
+		t.Fatalf("Acquire after a failed Scan: %v", err)
+	}
+	if after != before {
+		t.Errorf("failed Scan replaced the snapshot: %s, want %s", after.Info.SHA256, before.Info.SHA256)
+	}
+	if _, _, sha, _ := r.DefaultVersionInfo(); sha != f.hash {
+		t.Errorf("catalog sha256 after a failed Scan = %s, want %s", sha, f.hash)
+	}
+	if got := counter(r, "registry.load.errors"); got != 1 {
+		t.Errorf("registry.load.errors = %d, want 1", got)
 	}
 }

@@ -13,10 +13,12 @@ import (
 
 // Config parameterises one classification server. The zero value of
 // every limit takes a serving-safe default; exactly one of ModelPath
-// (single-model mode) and ModelsDir (registry mode) is required.
+// (a one-entry registry) and ModelsDir (a registry directory) is
+// required.
 type Config struct {
 	// ModelPath is the persisted snapshot (core.Model.Save output) the
-	// server loads at start and re-reads on every reload. Mutually
+	// server loads at start and re-reads on every reload, served as the
+	// one-entry registry SingleModelName/SingleModelVersion. Mutually
 	// exclusive with ModelsDir.
 	ModelPath string
 	// ModelsDir switches the server into registry mode: the directory is

@@ -33,10 +33,10 @@ type ClassifyRequest struct {
 	ID        string             `json:"id,omitempty"`
 	Text      string             `json:"text,omitempty"`
 	Documents []ClassifyDocument `json:"documents,omitempty"`
-	// Model and Version select the serving model in registry mode; both
-	// default (empty model resolves to the configured or sole default,
-	// empty version to the model's latest). A single-model server only
-	// accepts its own synthetic names, SingleModelName/SingleModelVersion.
+	// Model and Version select the serving model; both default (empty
+	// model resolves to the configured or sole default, empty version to
+	// the model's latest). A Config.ModelPath server has the one entry
+	// SingleModelName/SingleModelVersion.
 	Model   string `json:"model,omitempty"`
 	Version string `json:"version,omitempty"`
 	// Scores asks for per-category scores and thresholds decisions in
@@ -234,11 +234,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	tr.Finish(reqID, len(reqDocs), j.snap.Info.SHA256, http.StatusOK)
 }
 
-// HealthResponse is the GET /v1/healthz reply. In registry mode the
-// hash identifies the default model's latest published version without
-// loading it; Model and Version name it. With no resolvable default
-// (several models, none configured) the identity fields stay empty —
-// the server is still healthy, it just has no single identity.
+// HealthResponse is the GET /v1/healthz reply. The hash identifies the
+// default model's latest version without loading it; Model and Version
+// name it. With no resolvable default (several models, none
+// configured) the identity fields stay empty — the server is still
+// healthy, it just has no single identity.
 type HealthResponse struct {
 	Status    string `json:"status"`
 	ModelHash string `json:"model_hash"`
@@ -252,21 +252,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := HealthResponse{Status: "ok"}
-	if s.registry != nil {
-		if model, version, sha, ok := s.registry.DefaultVersionInfo(); ok {
-			resp.Model, resp.Version, resp.ModelHash = model, version, sha
-		}
-	} else {
-		resp.Model, resp.Version = SingleModelName, SingleModelVersion
-		resp.ModelHash = s.handle.Current().Info.SHA256
-	}
+	resp.Model, resp.Version, resp.ModelHash, _ = s.registry.DefaultVersionInfo()
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ModelzResponse is the GET /v1/modelz reply in single-model mode: the
-// serving model's identity plus a point-in-time telemetry snapshot.
+// ModelzResponse is the GET /v1/modelz reply: the catalog (the
+// /v1/models view), a point-in-time telemetry snapshot and, when the
+// default model's latest version is resident, that snapshot's identity.
+// A Config.ModelPath server's snapshot is always resident.
 type ModelzResponse struct {
-	Mode          string    `json:"mode"`
+	Mode         string                 `json:"mode"`
+	DefaultModel string                 `json:"default_model,omitempty"`
+	Models       []registry.ModelStatus `json:"models"`
+	*ModelIdentity
+	Metrics map[string]any `json:"metrics,omitempty"`
+}
+
+// ModelIdentity describes one resident snapshot on /v1/modelz.
+type ModelIdentity struct {
+	Model         string    `json:"model"`
+	Version       string    `json:"version"`
 	ModelHash     string    `json:"model_hash"`
 	SnapshotPath  string    `json:"snapshot_path"`
 	SnapshotBytes int64     `json:"snapshot_bytes"`
@@ -276,16 +281,6 @@ type ModelzResponse struct {
 	// EncodeTable reports the load phase that built the model's encode
 	// table.
 	EncodeTable core.EncodeTableStats `json:"encode_table"`
-	Metrics     map[string]any        `json:"metrics,omitempty"`
-}
-
-// RegistryModelzResponse is the GET /v1/modelz reply in registry mode:
-// the full catalog (the /v1/models view) plus the telemetry snapshot.
-type RegistryModelzResponse struct {
-	Mode         string                 `json:"mode"`
-	DefaultModel string                 `json:"default_model,omitempty"`
-	Models       []registry.ModelStatus `json:"models"`
-	Metrics      map[string]any         `json:"metrics,omitempty"`
 }
 
 func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request) {
@@ -293,85 +288,64 @@ func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	var metrics map[string]any
+	models := s.modelsResponse()
+	resp := ModelzResponse{Mode: models.Mode, DefaultModel: models.DefaultModel, Models: models.Models}
 	if s.cfg.Metrics != nil {
 		ms := s.cfg.Metrics.Snapshot()
-		metrics = map[string]any{
+		resp.Metrics = map[string]any{
 			"counters":   ms.Counters,
 			"gauges":     ms.Gauges,
 			"histograms": ms.Histograms,
 		}
 	}
-	if s.registry != nil {
-		resp := RegistryModelzResponse{Mode: "registry", Models: s.registry.Models(), Metrics: metrics}
-		if def, ok := s.registry.Default(); ok {
-			resp.DefaultModel = def
+	if snap, ok := s.registry.DefaultResident(); ok {
+		resp.ModelIdentity = &ModelIdentity{
+			Model:         snap.Name,
+			Version:       snap.Version,
+			ModelHash:     snap.Info.SHA256,
+			SnapshotPath:  snap.Info.Path,
+			SnapshotBytes: snap.Info.Bytes,
+			LoadedAt:      snap.LoadedAt,
+			FeatureMethod: string(snap.Model.FeatureMethod()),
+			Categories:    snap.Model.Categories(),
+			EncodeTable:   snap.Model.EncodeTable(),
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return
 	}
-	snap := s.handle.Current()
-	writeJSON(w, http.StatusOK, ModelzResponse{
-		Mode:          "single",
-		ModelHash:     snap.Info.SHA256,
-		SnapshotPath:  snap.Info.Path,
-		SnapshotBytes: snap.Info.Bytes,
-		LoadedAt:      snap.LoadedAt,
-		FeatureMethod: string(snap.Model.FeatureMethod()),
-		Categories:    snap.Model.Categories(),
-		EncodeTable:   snap.Model.EncodeTable(),
-		Metrics:       metrics,
-	})
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// ReloadResponse is the POST /v1/reload reply in single-model mode.
+// ReloadResponse is the POST /v1/reload reply: what the scan accepted,
+// plus the default model's latest hash before and after it (omitted
+// when no default resolves).
 type ReloadResponse struct {
-	Mode         string `json:"mode"`
-	ModelHash    string `json:"model_hash"`
-	PreviousHash string `json:"previous_hash"`
-	Changed      bool   `json:"changed"`
-}
-
-// RescanResponse is the POST /v1/reload reply in registry mode, where a
-// reload means re-reading the registry directory.
-type RescanResponse struct {
 	Mode string `json:"mode"`
 	registry.ScanStats
+	ModelHash    string `json:"model_hash,omitempty"`
+	PreviousHash string `json:"previous_hash,omitempty"`
+	Changed      bool   `json:"changed"`
 }
-
-// errSingleModeRescan answers Rescan on a single-model server.
-var errSingleModeRescan = errors.New("serve: not in registry mode (rescan needs Config.ModelsDir)")
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	if s.registry != nil {
-		stats, err := s.registry.Scan()
-		if err != nil {
-			s.cfg.Log.Error("rescan failed", "dir", s.cfg.ModelsDir, "err", err)
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		s.cfg.Log.Info("registry rescanned", "models", stats.Models, "versions", stats.Versions,
-			"skipped", stats.Skipped, "temp_dirs", stats.TempDirs)
-		writeJSON(w, http.StatusOK, RescanResponse{Mode: "registry", ScanStats: stats})
-		return
-	}
-	prev := s.handle.Current()
-	snap, err := s.handle.Reload()
+	_, _, prev, _ := s.registry.DefaultVersionInfo()
+	stats, err := s.Reload()
 	if err != nil {
-		s.cfg.Log.Error("reload failed", "path", s.cfg.ModelPath, "err", err)
+		s.cfg.Log.Error("reload failed", "err", err)
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.cfg.Log.Info("model reloaded", "sha256", snap.Info.SHA256, "bytes", snap.Info.Bytes)
+	_, _, cur, _ := s.registry.DefaultVersionInfo()
+	s.cfg.Log.Info("reloaded", "models", stats.Models, "versions", stats.Versions,
+		"skipped", stats.Skipped, "temp_dirs", stats.TempDirs, "model_hash", cur)
 	writeJSON(w, http.StatusOK, ReloadResponse{
-		Mode:         "single",
-		ModelHash:    snap.Info.SHA256,
-		PreviousHash: prev.Info.SHA256,
-		Changed:      snap.Info.SHA256 != prev.Info.SHA256,
+		Mode:         s.mode,
+		ScanStats:    stats,
+		ModelHash:    cur,
+		PreviousHash: prev,
+		Changed:      cur != prev,
 	})
 }
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -12,44 +11,25 @@ import (
 	"temporaldoc/internal/registry"
 )
 
-// SingleModelName and SingleModelVersion are the names the single-model
-// path (Config.ModelPath) serves under, so /v1/models always renders a
-// registry-shaped view and a classify request may name its model in
-// either mode: a single-model server is a one-entry registry.
+// SingleModelName and SingleModelVersion are the names a Config.ModelPath
+// server serves its snapshot under: it is a one-entry registry (a
+// registry.OpenFile source), so /v1/models renders the same shape in
+// both configurations and a classify request may name its model either
+// way.
 const (
-	SingleModelName    = "default"
-	SingleModelVersion = "current"
+	SingleModelName    = registry.FileModel
+	SingleModelVersion = registry.FileVersion
 )
 
 // resolveSnapshot pins the model snapshot a request is served by —
-// exactly once per request, whichever mode the server runs in. In
-// single-model mode the only valid names are the synthetic
-// default/current pair; in registry mode the registry resolves names
-// (and may cold-load, under single-flight, bounded by ctx). The int is
-// the HTTP status to answer with when err is non-nil.
-func (s *Server) resolveSnapshot(ctx context.Context, model, version string) (*ModelSnapshot, int, error) {
-	if s.registry == nil {
-		if model != "" && model != SingleModelName {
-			return nil, http.StatusNotFound,
-				fmt.Errorf("unknown model %q (this server serves the single model %q)", model, SingleModelName)
-		}
-		if version != "" && version != SingleModelVersion {
-			return nil, http.StatusNotFound,
-				fmt.Errorf("unknown version %q (this server serves the single version %q)", version, SingleModelVersion)
-		}
-		return s.handle.Current(), 0, nil
-	}
-	rs, err := s.registry.Acquire(ctx, model, version)
-	if err == nil {
-		return &ModelSnapshot{
-			Model:    rs.Model,
-			Info:     rs.Info,
-			Name:     rs.Name,
-			Version:  rs.Version,
-			LoadedAt: rs.LoadedAt,
-		}, 0, nil
-	}
+// exactly once per request. The registry resolves the names (and may
+// cold-load, under single-flight, bounded by ctx). The int is the HTTP
+// status to answer with when err is non-nil.
+func (s *Server) resolveSnapshot(ctx context.Context, model, version string) (*registry.Snapshot, int, error) {
+	snap, err := s.registry.Acquire(ctx, model, version)
 	switch {
+	case err == nil:
+		return snap, 0, nil
 	case errors.Is(err, registry.ErrUnknownModel), errors.Is(err, registry.ErrUnknownVersion):
 		return nil, http.StatusNotFound, err
 	case errors.Is(err, registry.ErrModelRequired):
@@ -62,8 +42,8 @@ func (s *Server) resolveSnapshot(ctx context.Context, model, version string) (*M
 }
 
 // ModelsResponse is the GET /v1/models reply: the registry catalog with
-// resident/cold status per version. A single-model server renders
-// itself as a one-entry registry so clients never need two shapes.
+// resident/cold status per version. A Config.ModelPath server lists its
+// one entry, default/current.
 type ModelsResponse struct {
 	// Mode is "single" (Config.ModelPath) or "registry"
 	// (Config.ModelsDir).
@@ -85,28 +65,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) modelsResponse() ModelsResponse {
-	if s.registry == nil {
-		snap := s.handle.Current()
-		table := snap.Model.EncodeTable()
-		return ModelsResponse{
-			Mode:         "single",
-			DefaultModel: SingleModelName,
-			Models: []registry.ModelStatus{{
-				Name: SingleModelName,
-				Versions: []registry.VersionStatus{{
-					Version:       SingleModelVersion,
-					SHA256:        snap.Info.SHA256,
-					Bytes:         snap.Info.Bytes,
-					FeatureMethod: string(snap.Model.FeatureMethod()),
-					EncodeTable:   &table,
-					CreatedAt:     snap.LoadedAt,
-					Latest:        true,
-					Resident:      true,
-				}},
-			}},
-		}
-	}
-	resp := ModelsResponse{Mode: "registry", Models: s.registry.Models()}
+	resp := ModelsResponse{Mode: s.mode, Models: s.registry.Models()}
 	if def, ok := s.registry.Default(); ok {
 		resp.DefaultModel = def
 	}

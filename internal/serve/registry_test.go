@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -295,12 +296,16 @@ func TestServeRescanPicksUpNewVersion(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload: status %d: %s", resp.StatusCode, b)
 	}
-	var rr RescanResponse
+	var rr ReloadResponse
 	if err := json.Unmarshal(b, &rr); err != nil {
 		t.Fatalf("decode rescan response: %v: %s", err, b)
 	}
 	if rr.Mode != "registry" || rr.Models != 2 || rr.Versions != 3 {
 		t.Errorf("rescan = %+v, want mode registry with 2 models / 3 versions", rr)
+	}
+	// Two models and no configured default: no identity to report.
+	if rr.ModelHash != "" || rr.PreviousHash != "" || rr.Changed {
+		t.Errorf("rescan identity = %+v, want none without a default model", rr)
 	}
 
 	// v2 is now the latest: unversioned tenant-a requests resolve to it…
@@ -425,5 +430,80 @@ func TestServeConfigModeValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestServeRegistryModelzIdentity: /v1/modelz carries the default
+// model's identity exactly when its latest version is resident.
+func TestServeRegistryModelzIdentity(t *testing.T) {
+	f := getFixture(t)
+	s := newRegistryServer(t, buildModelsDir(t), func(c *Config) { c.DefaultModel = "tenant-a" })
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	getModelz := func() ModelzResponse {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/v1/modelz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m ModelzResponse
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatalf("decode modelz: %v", err)
+		}
+		return m
+	}
+	m := getModelz()
+	if m.Mode != "registry" || m.DefaultModel != "tenant-a" || len(m.Models) != 2 {
+		t.Errorf("modelz catalog = %s/%s/%d models, want registry/tenant-a/2", m.Mode, m.DefaultModel, len(m.Models))
+	}
+	if m.ModelIdentity != nil {
+		t.Errorf("modelz reports identity %+v before the default model loaded", m.ModelIdentity)
+	}
+
+	body := fmt.Sprintf(`{"text":%q}`, docText(&f.corpus.Test[0]))
+	if resp, b := postJSON(t, hs.URL+"/v1/classify", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("classify: status %d: %s", resp.StatusCode, b)
+	}
+	m = getModelz()
+	if m.ModelIdentity == nil {
+		t.Fatal("modelz omits the identity of the resident default model")
+	}
+	if m.Model != "tenant-a" || m.Version != "v1" || m.ModelHash != f.hashA || m.EncodeTable.Entries == 0 {
+		t.Errorf("modelz identity = %+v, want tenant-a/v1 %s with an encode table", m.ModelIdentity, f.hashA)
+	}
+}
+
+// TestResolveSnapshotZeroAlloc: pinning a resident snapshot allocates
+// nothing, whichever way the server was configured.
+func TestResolveSnapshotZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	f := getFixture(t)
+	for _, tc := range []struct {
+		name  string
+		srv   *Server
+		model string
+	}{
+		{"model", newTestServer(t, f.pathA, nil), ""},
+		{"models-dir", newRegistryServer(t, buildModelsDir(t), nil), "tenant-a"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			// The first resolve may cold-load; only the resident path is measured.
+			if _, status, err := tc.srv.resolveSnapshot(ctx, tc.model, ""); err != nil {
+				t.Fatalf("resolve: status %d: %v", status, err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, _, err := tc.srv.resolveSnapshot(ctx, tc.model, ""); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("resolveSnapshot allocates %.1f times per request, want 0", allocs)
+			}
+		})
 	}
 }

@@ -4,28 +4,28 @@
 //
 // Three design rules shape it:
 //
-//   - One pinned snapshot per request. Every request resolves its model
-//     snapshot exactly once — the atomically swappable handle in
-//     single-model mode, the registry's resident cache in registry mode
-//     — and scores its whole batch with it, so hot-reloads and cache
-//     evictions can land at any moment without a response ever mixing
-//     two models. Responses embed the snapshot's SHA-256 to make that
-//     provable end to end.
+//   - One pinned snapshot per request. Every request acquires its model
+//     snapshot from the registry exactly once and scores its whole batch
+//     with it, so reloads and cache evictions can land at any moment
+//     without a response ever mixing two models. Responses embed the
+//     snapshot's SHA-256 to make that provable end to end.
 //   - Bounded concurrency with load shedding. Scoring runs on a fixed
 //     worker pool behind a bounded queue; when the queue is full the
 //     server answers 503 with Retry-After instead of stacking
 //     goroutines, and per-request deadlines turn stuck work into 504s.
 //   - The scoring hot path allocates nothing per document beyond the
-//     response itself: machines come from the model's pool, encodings
-//     from its cache, predictions land in one per-job buffer.
+//     response itself: machines come from the model's pool, word codes
+//     from its precomputed encode table, predictions land in one per-job
+//     buffer.
 //
-// Two serving modes share the API. Config.ModelPath serves one model
-// (hot-reloadable via SIGHUP or POST /v1/reload, exactly as before);
-// Config.ModelsDir serves a model registry — classify requests may name
-// a "model" (and "version"), cold models load lazily under single-flight
-// into an LRU of resident models, and reloads become registry rescans.
-// A single-model server presents itself as a one-entry registry on
-// GET /v1/models, so clients never need two shapes.
+// Every server serves a registry.Registry. Config.ModelsDir opens a
+// model registry directory: classify requests may name a "model" (and
+// "version"), and cold models load lazily under single-flight into an
+// LRU of resident models. Config.ModelPath opens a one-entry file
+// source — the snapshot served as model "default", version "current" —
+// so both configurations share one request path and one response shape
+// per endpoint. A reload (SIGHUP or POST /v1/reload) is a registry scan:
+// it re-reads the directory, or the file.
 //
 // Endpoints:
 //
@@ -33,10 +33,11 @@
 //	                   optional "model" and "version" tenant selection
 //	GET  /v1/healthz   liveness plus the default model hash
 //	GET  /v1/models    registry catalog with resident/cold status
-//	GET  /v1/modelz    model identity and a telemetry snapshot
+//	GET  /v1/modelz    catalog, telemetry snapshot and the resident
+//	                   default model's identity
 //	GET  /v1/statz     per-stage latency percentiles, throughput, error
 //	                   rates, per-model request counts
-//	POST /v1/reload    re-read the snapshot file / rescan the registry
+//	POST /v1/reload    rescan the registry (re-read the -model file)
 //
 // Every request carries an id (client-supplied X-Request-ID or
 // generated), echoed on the response; a stage recorder splits each
@@ -59,9 +60,10 @@ import (
 // mount via Handler, stop with Close.
 type Server struct {
 	cfg Config
-	// Exactly one of handle (single-model mode) and registry (registry
-	// mode) is non-nil; resolveSnapshot dispatches on it.
-	handle   *Handle
+	// mode is "single" (Config.ModelPath) or "registry"
+	// (Config.ModelsDir), as reported on /v1/models, /v1/modelz and
+	// /v1/reload.
+	mode     string
 	registry *registry.Registry
 	pool     *pool
 	pre      *textproc.Preprocessor
@@ -80,8 +82,8 @@ type serverMetrics struct {
 	panics   *telemetry.Counter
 }
 
-// New loads the model snapshot (or opens the model registry) and
-// assembles a ready-to-serve Server.
+// New opens the registry — a one-entry file source for ModelPath, the
+// directory for ModelsDir — and assembles a ready-to-serve Server.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -96,25 +98,24 @@ func New(cfg Config) (*Server, error) {
 			panics:   cfg.Metrics.Counter("serve.panics"),
 		},
 	}
-	if cfg.ModelsDir != "" {
-		reg, err := registry.Open(registry.Config{
-			Root:             cfg.ModelsDir,
-			Default:          cfg.DefaultModel,
-			MaxResident:      cfg.Resident,
-			MaxResidentBytes: cfg.ResidentBytes,
-			Method:           cfg.Method,
-			Metrics:          cfg.Metrics,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.registry = reg
+	rcfg := registry.Config{
+		Default:          cfg.DefaultModel,
+		MaxResident:      cfg.Resident,
+		MaxResidentBytes: cfg.ResidentBytes,
+		Method:           cfg.Method,
+		Metrics:          cfg.Metrics,
+	}
+	var err error
+	if cfg.ModelPath != "" {
+		s.mode = "single"
+		s.registry, err = registry.OpenFile(cfg.ModelPath, rcfg)
 	} else {
-		handle, err := OpenHandle(cfg.ModelPath, cfg.Method, cfg.Metrics)
-		if err != nil {
-			return nil, err
-		}
-		s.handle = handle
+		s.mode = "registry"
+		rcfg.Root = cfg.ModelsDir
+		s.registry, err = registry.Open(rcfg)
+	}
+	if err != nil {
+		return nil, err
 	}
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.Metrics, s.stages, s.stats)
 	//lint:ignore determinism serving metadata: the start stamp only feeds /v1/statz uptime, never model state
@@ -132,20 +133,18 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("/v1/statz", mount("statz", s.handleStatz))
 	s.mux.Handle("/v1/reload", mount("reload", s.handleReload))
 	s.handler = withRequestID(s.mux)
-	if s.registry != nil {
-		models := s.registry.Models()
-		versions := 0
-		for _, m := range models {
-			versions += len(m.Versions)
-		}
-		cfg.Log.Info("registry opened", "dir", cfg.ModelsDir, "models", len(models), "versions", versions,
-			"resident_limit", cfg.Resident, "workers", cfg.Workers, "queue", cfg.QueueDepth)
-	} else {
-		snap := s.handle.Current()
+	models := s.registry.Models()
+	versions := 0
+	for _, m := range models {
+		versions += len(m.Versions)
+	}
+	// Exactly one of ModelPath and ModelsDir is set (setDefaults).
+	cfg.Log.Info("registry opened", "mode", s.mode, "source", cfg.ModelPath+cfg.ModelsDir, "models", len(models), "versions", versions,
+		"resident_limit", cfg.Resident, "workers", cfg.Workers, "queue", cfg.QueueDepth)
+	if snap, ok := s.registry.DefaultResident(); ok {
 		table := snap.Model.EncodeTable()
 		cfg.Log.Info("model loaded", "path", snap.Info.Path, "sha256", snap.Info.SHA256, "bytes", snap.Info.Bytes,
-			"encode_table_entries", table.Entries, "encode_table_build_ms", table.BuildMS,
-			"workers", cfg.Workers, "queue", cfg.QueueDepth)
+			"encode_table_entries", table.Entries, "encode_table_build_ms", table.BuildMS)
 	}
 	return s, nil
 }
@@ -154,39 +153,11 @@ func New(cfg Config) (*Server, error) {
 // wrapped in the request-id middleware).
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// MultiTenant reports whether the server runs in registry mode.
-func (s *Server) MultiTenant() bool { return s.registry != nil }
-
-// Current returns the model snapshot serving right now in single-model
-// mode, nil in registry mode (where "current" is per-tenant — see
-// /v1/models).
-func (s *Server) Current() *ModelSnapshot {
-	if s.handle == nil {
-		return nil
-	}
-	return s.handle.Current()
-}
-
-// Reload refreshes the serving state: in single-model mode it re-reads
-// the snapshot file and swaps it in (previous model keeps serving on
-// error); in registry mode it rescans the registry and returns a nil
-// snapshot. Wired to SIGHUP and POST /v1/reload.
-func (s *Server) Reload() (*ModelSnapshot, error) {
-	if s.registry != nil {
-		_, err := s.registry.Scan()
-		return nil, err
-	}
-	return s.handle.Reload()
-}
-
-// Rescan re-reads the registry directory (registry mode's reload) and
-// reports what the scan accepted and skipped.
-func (s *Server) Rescan() (registry.ScanStats, error) {
-	if s.registry == nil {
-		return registry.ScanStats{}, errSingleModeRescan
-	}
-	return s.registry.Scan()
-}
+// Reload rescans the registry — re-reads the -models-dir tree, or the
+// -model file — and returns what the scan accepted. On error nothing is
+// swapped and the previous catalog and snapshots keep serving. Wired to
+// SIGHUP and POST /v1/reload.
+func (s *Server) Reload() (registry.ScanStats, error) { return s.registry.Scan() }
 
 // Close drains the worker pool. Call after the HTTP listener has shut
 // down; queued jobs finish, new submissions panic — the HTTP layer

@@ -385,6 +385,15 @@ func TestServeHealthzAndModelz(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if m.Mode != "single" || m.DefaultModel != SingleModelName || len(m.Models) != 1 {
+		t.Errorf("modelz catalog = %s/%s/%d models, want single/%s/1", m.Mode, m.DefaultModel, len(m.Models), SingleModelName)
+	}
+	if m.ModelIdentity == nil {
+		t.Fatal("modelz omits the identity of the always-resident -model snapshot")
+	}
+	if m.Model != SingleModelName || m.Version != SingleModelVersion {
+		t.Errorf("modelz names %s/%s, want %s/%s", m.Model, m.Version, SingleModelName, SingleModelVersion)
+	}
 	if m.ModelHash != f.hashA {
 		t.Errorf("modelz hash %q, want %q", m.ModelHash, f.hashA)
 	}
@@ -432,6 +441,9 @@ func TestServeHotReloadSwapsPredictions(t *testing.T) {
 	}
 	if rr.ModelHash != f.hashB || rr.PreviousHash != f.hashA || !rr.Changed {
 		t.Errorf("reload = %+v, want %s -> %s changed", rr, f.hashA, f.hashB)
+	}
+	if rr.Mode != "single" || rr.Models != 1 || rr.Versions != 1 {
+		t.Errorf("reload scan = %+v, want mode single with 1 model / 1 version", rr)
 	}
 
 	_, b = postJSON(t, hs.URL+"/v1/classify", body)
